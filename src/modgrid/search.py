@@ -1,10 +1,30 @@
 """Exhaustive and branch-and-bound searches over transversals and subsets.
 
-The minimum-triple search extends partial permutations column by column,
-keeping an incremental triple count and pruning any branch whose partial
-count can no longer beat (or, before a witness is known, tie) the best
-complete solution.  Pruning is sound because adding a point never removes
-a collinear triple.
+The minimum-triple search extends partial permutations column by column in
+lexicographic value order.  Each triple is charged to its last column, so
+placing (pos, v) adds the number of placed pairs collinear with (pos, v).
+
+Look-ahead bound.  Every search node keeps a cost matrix A, where
+A[j*n + w] counts the placed pairs collinear with cell (j, w).  A child
+(pos, v) of a node with count cnt gets the bound
+
+    cnt + A[pos*n + v] + sum over j > pos of min over free w of A[j*n + w]
+
+and is pruned when the bound exceeds the best count, or equals it while a
+witness is held.  The bound is admissible: column j eventually takes some
+value w that is free now, and the triples charged to it include at least
+the A[j*n + w] already closed by placed pairs, since counts only grow.
+Taking the minimum over a free set that still contains v only weakens it.
+
+The matrix is updated incrementally.  Placing P adds, for each earlier
+point Q, 1 to every later cell collinear with Q and P: along the line of
+slope (P - Q) for prime n, and from per-difference masks built once per
+search from the collinearity kernel for composite n.  Cells of used values
+are raised to a blocking value, so a row minimum is a minimum over free
+values.  A is packed into one int of 16-bit fields (see _Placement), so an
+update is a few big-int operations, and each descent builds a new matrix
+from its parent's: backtracking needs no undo.  The tables take about 6n^3
+bytes for prime n and n^4 for composite n, the size of the kernel.
 
 Symmetry reduction: sigma(0) = 0 for every n (value translation), plus
 sigma(1) = 1 for prime n (value scaling by a unit).  Both reductions are
@@ -15,10 +35,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -30,7 +52,7 @@ from .census import (
     transversal_points,
 )
 from .constructions import inverse_permutation
-from .errors import CheckpointMismatch, NonPrimeModulus
+from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus
 from .geometry import (
     DEFAULT_MODE,
     CollinearityKernel,
@@ -41,6 +63,7 @@ from .geometry import (
 from .modring import is_prime
 
 __all__ = [
+    "SEARCH_BOUND",
     "SearchBudget",
     "SearchOutcome",
     "psi",
@@ -58,7 +81,12 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class SearchBudget:
     """Node/time limits and worker count; exceeding a limit ends the search
-    with exact = False rather than an error."""
+    with exact = False rather than an error.
+
+    ``max_nodes`` caps the nodes of the whole search, summed over all
+    branches and all workers; ``max_time`` is wall-clock seconds from the
+    start of the call.
+    """
 
     max_nodes: Optional[int] = None
     max_time: Optional[float] = None
@@ -85,105 +113,240 @@ class _BudgetExhausted(Exception):
 # core branch engine (module level so it can be pickled for worker pools)
 # ---------------------------------------------------------------------------
 
+#: nodes a branch takes from the shared budget at a time; the deadline is
+#: checked whenever a slice is taken
+_GRANT = 4096
+
+
+class _NodeBudget:
+    """The nodes and time left to one search, handed out in slices.
+
+    ``shared`` is a lock-protected ``multiprocessing.Value`` holding the
+    nodes left when pool workers draw on one budget; otherwise the count
+    lives in ``left`` (None for no node limit).
+    """
+
+    def __init__(self, left: Optional[int], deadline: Optional[float], shared=None):
+        self.left = left
+        self.deadline = deadline
+        self.shared = shared
+
+    def take(self) -> int:
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            return 0
+        if self.shared is not None:
+            with self.shared.get_lock():
+                grant = min(_GRANT, self.shared.value)
+                self.shared.value -= grant
+            return grant
+        if self.left is None:
+            return _GRANT
+        grant = min(_GRANT, self.left)
+        self.left -= grant
+        return grant
+
+    def give_back(self, unused: int) -> None:
+        if self.shared is not None:
+            with self.shared.get_lock():
+                self.shared.value += unused
+        elif self.left is not None:
+            self.left += unused
+
+
+#: largest n the transversal searches accept: the cost-matrix fields are 16
+#: bits, and every pair count C(n-1, 2) must stay below the used mark 2**14
+SEARCH_BOUND = 128
+
+_FIELD = 16
+
+
+class _Placement:
+    """Cost matrices of a transversal placed column by column.
+
+    A matrix A is one int of n*n 16-bit fields: field j*n + w counts the
+    placed pairs collinear with cell (j, w), or is at least ``used`` when
+    value w is used.  Placing P = (pos, v) adds one mask per earlier point
+    Q, marking the later cells collinear with Q and P.  The masks are kept
+    for P at (0, 0), with row r standing for column r + 1:
+
+    - prime n: ``lines[s]``, the line of slope s (from Q to P);
+    - composite n: ``pairs[dx*n + dy]`` for Q = (-dx, -dy), built from the
+      collinearity kernel.
+
+    Their sum is rotated by v within each row and shifted to column pos + 1.
+    """
+
+    def __init__(self, n: int, mode: CollinearityMode):
+        if n > SEARCH_BOUND:
+            raise BoundExceeded(f"transversal search for n={n} exceeds bound {SEARCH_BOUND}")
+        self.n = n
+        nn = n * n
+        self.nbytes = nn * _FIELD // 8
+        self.full = (1 << (nn * _FIELD)) - 1
+        self.used = used = 1 << (_FIELD - 2)
+
+        def mask(cells, value: int = 1) -> int:
+            buf = bytearray(self.nbytes)
+            fields = memoryview(buf).cast("H")
+            for r, w in cells:
+                fields[r * n + w] = value
+            fields.release()
+            return int.from_bytes(buf, sys.byteorder)
+
+        # keep[v]: all bits of the fields of columns >= v in rows 0..n-2;
+        # wrap[v]: those of the other columns
+        ones = (1 << _FIELD) - 1
+        self.keep = [mask(((r, w) for r in range(n - 1) for w in range(v, n)), ones)
+                     for v in range(n)]
+        self.wrap = [self.keep[0] ^ k for k in self.keep]
+        self.block = mask(((r, 0) for r in range(n - 1)), used)
+        self.prime = is_prime(n)
+        if self.prime:
+            self.inv = [0] + [pow(d, -1, n) for d in range(1, n)]
+            self.lines = [mask((t - 1, s * t % n) for t in range(1, n)) for s in range(n)]
+            return
+        table = CollinearityKernel(n, mode).table
+        self.pairs = [0] * nn
+        for dx in range(1, n - 1):
+            for dy in range(n):
+                row = (dx * n + dy) * nn
+                self.pairs[dx * n + dy] = mask(
+                    (t - 1, f) for t in range(1, n - dx) for f in range(n)
+                    if table[row + (dx + t) * n + (dy + f) % n]
+                )
+
+    def place(self, A: int, sigma: Sequence[int], v: int) -> int:
+        """The matrix after adding (len(sigma), v) to the placement ``sigma``."""
+        n = self.n
+        pos = len(sigma)
+        if self.prime:
+            inv, lines = self.inv, self.lines
+            add = sum([lines[(v - y) * inv[pos - i] % n] for i, y in enumerate(sigma)])
+        else:
+            pairs = self.pairs
+            add = sum([pairs[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)])
+        add += self.block
+        if v:
+            add = ((add << (v * _FIELD)) & self.keep[v]) | (
+                (add >> ((n - v) * _FIELD)) & self.wrap[v]
+            )
+        return (A + (add << ((pos + 1) * n * _FIELD))) & self.full
+
+    def counts(self, A: int) -> list[int]:
+        """The fields of ``A`` as a list of n*n ints."""
+        return memoryview(A.to_bytes(self.nbytes, sys.byteorder)).cast("H").tolist()
+
+    def root(self, prefix: Sequence[int]) -> tuple[int, list[int], int]:
+        """(A, sigma, count) after placing ``prefix``."""
+        A = 0
+        sigma: list[int] = []
+        count = 0
+        for v in prefix:
+            count += self.counts(A)[len(sigma) * self.n + v]
+            A = self.place(A, sigma, v)
+            sigma.append(v)
+        return A, sigma, count
+
+    def rest(self, vals: list[int], pos: int) -> int:
+        """Lower bound on the triples still to close in columns pos..n-1."""
+        n = self.n
+        return sum([min(vals[b:b + n]) for b in range(pos * n, n * n, n)])
+
 
 def _search_branch(
-    n: int,
-    mode_value: str,
+    engine: _Placement,
     prefix: Sequence[int],
     best: float,
-    have_witness: bool,
-    max_nodes: Optional[int],
-    deadline: Optional[float],
+    held: Optional[list[int]],
+    budget: _NodeBudget,
 ) -> tuple[float, Optional[list[int]], int, int, bool]:
     """Explore all completions of ``prefix`` in lexicographic value order.
 
-    Returns (best, witness, nodes, pruned, aborted).  ``witness`` is None
-    when no completion improved on (or, lacking a prior witness, tied)
-    the incoming bound.  Because extension order is lexicographic, the
-    retained witness is the lex-least optimum within the branch.
+    ``held`` is the witness of ``best`` found elsewhere, if any.  Returns
+    (best, witness, nodes, pruned, aborted); ``witness`` is None unless a
+    completion beats ``best``, or ties it while ``held`` is None or may be
+    lex-greater than some completion of ``prefix``.  Because extension order
+    is lexicographic, the returned witness is the lex-least optimum within
+    the branch; the caller keeps the lex-smaller of it and ``held``.
     """
-    mode = CollinearityMode(mode_value)
-    prime = is_prime(n)
-    sigma: list[int] = []
-    used = [False] * n
-    if prime:
-        inv = [0] * n
-        for d in range(1, n):
-            inv[d] = pow(d, -1, n)
-        table = None
-        n2 = 0
-    else:
-        kern = CollinearityKernel(n, mode)
-        table = kern.table
-        n2 = n * n
-
-    def added_triples(pos: int, v: int) -> int:
-        add = 0
-        if prime:
-            groups: dict[int, int] = {}
-            for i in range(pos):
-                s = ((v - sigma[i]) * inv[pos - i]) % n
-                t = groups.get(s, 0)
-                add += t
-                groups[s] = t + 1
-        else:
-            for i in range(pos):
-                yi = sigma[i]
-                d3 = ((pos - i) * n + (v - yi) % n) * n2
-                for j in range(i + 1, pos):
-                    if table[d3 + (j - i) * n + (sigma[j] - yi) % n]:
-                        add += 1
-        return add
-
-    count = 0
-    for k, v in enumerate(prefix):
-        count += added_triples(k, v)
-        sigma.append(v)
-        used[v] = True
-
-    nodes = 0
-    pruned = 0
+    n = engine.n
+    nn = n * n
+    place, counts, used_at = engine.place, engine.counts, engine.used
+    A0, sigma, count = engine.root(prefix)
+    start_pos = len(prefix)
+    nodes = granted = pruned = 0
     best_local = best
     witness: Optional[list[int]] = None
-    start_pos = len(prefix)
+    # ties are useless once a witness lex-smaller than every completion is held
+    blocked = held is not None and held[:start_pos] < list(prefix)
 
-    def rec(pos: int, cnt: int) -> None:
-        nonlocal nodes, pruned, best_local, witness
-        if pos == n:
-            if cnt < best_local or (cnt == best_local and witness is None and not have_witness):
-                best_local = cnt
-                witness = sigma.copy()
-            return
+    def finish(cnt: int) -> None:
+        nonlocal best_local, witness, blocked
+        if cnt < best_local or (cnt == best_local and not blocked):
+            best_local = cnt
+            witness = sigma.copy()
+            blocked = True
+
+    def rec(pos: int, cnt: int, A: int) -> None:
+        nonlocal nodes, granted, pruned
+        vals = counts(A)
+        row = pos * n
+        base = cnt + sum([min(vals[b:b + n]) for b in range(row + n, nn, n)])
         for v in range(n):
-            if used[v]:
+            a = vals[row + v]
+            if a >= used_at:
                 continue
             nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise _BudgetExhausted
-            if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
-                raise _BudgetExhausted
-            nc = cnt + added_triples(pos, v)
-            blocked = witness is not None or have_witness
-            if nc > best_local or (nc == best_local and blocked):
+            if nodes > granted:
+                grant = budget.take()
+                if not grant:
+                    nodes -= 1
+                    raise _BudgetExhausted
+                granted += grant
+            bound = base + a
+            if bound > best_local or (bound == best_local and blocked):
                 pruned += 1
                 continue
-            sigma.append(v)
-            used[v] = True
-            rec(pos + 1, nc)
+            if pos + 1 == n:
+                sigma.append(v)
+                finish(bound)
+            else:
+                child = place(A, sigma, v)
+                sigma.append(v)
+                rec(pos + 1, cnt + a, child)
             sigma.pop()
-            used[v] = False
 
     aborted = False
     # a prefix already past the bound is a single pruned node
-    blocked0 = have_witness
-    if count > best_local or (count == best_local and blocked0 and start_pos < n):
+    bound0 = count + engine.rest(counts(A0), start_pos)
+    if bound0 > best_local or (bound0 == best_local and blocked and start_pos < n):
         pruned += 1
+    elif start_pos == n:
+        finish(count)
     else:
         try:
-            rec(start_pos, count)
+            rec(start_pos, count, A0)
         except _BudgetExhausted:
             aborted = True
+        finally:
+            budget.give_back(granted - nodes)
     return best_local, witness, nodes, pruned, aborted
+
+
+#: the engine and the shared node count of a pool worker's psi call, set
+#: once per worker by _init_pool
+_pool_engine: Optional[_Placement] = None
+_pool_nodes = None
+
+
+def _init_pool(engine: _Placement, nodes_left) -> None:
+    global _pool_engine, _pool_nodes
+    _pool_engine, _pool_nodes = engine, nodes_left
+
+
+def _pool_branch(prefix, best, held, deadline):
+    budget = _NodeBudget(None, deadline, shared=_pool_nodes)
+    return _search_branch(_pool_engine, prefix, best, held, budget)
 
 
 def _psi_prefixes(n: int, reduction: str) -> list[tuple[int, ...]]:
@@ -243,9 +406,11 @@ def psi(
 ) -> SearchOutcome:
     """Minimum collinear-triple count over all transversals of Z_n.
 
-    Exhaustive branch-and-bound; with a single worker the witness is the
-    lexicographically least optimal transversal.  Budget exhaustion yields
-    exact = False with the best value found so far (an upper bound).
+    Exhaustive branch-and-bound over the symmetry-reduced prefixes; the
+    witness is the lexicographically least optimal transversal, for any
+    number of workers.  Budget exhaustion yields exact = False with the best
+    value found so far (an upper bound); the checkpoint then keeps every
+    prefix not yet finished, so a resumed run gives the uninterrupted result.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -260,7 +425,6 @@ def psi(
 
     best: float = math.inf
     witness: Optional[list[int]] = None
-    have_witness = False
     fallback_witness: Optional[list[int]] = None
     if is_prime(n):
         # seed bound from the self-inverse construction; keep it witness-less
@@ -275,58 +439,62 @@ def psi(
         if data["witness"] is not None:
             witness = list(data["witness"])
             best = min(best, data["best"])
-            have_witness = True
         prefixes = [tuple(p) for p in data["remaining"]]
 
     deadline = start + budget.max_time if budget.max_time is not None else None
+    engine = _Placement(n, mode)
     nodes_total = 0
     pruned_total = 0
     aborted = False
     remaining = list(prefixes)
 
-    def checkpoint_now() -> None:
+    def merge(p, result) -> None:
+        """Fold one branch result in; a branch that did not finish stays
+        in ``remaining``."""
+        nonlocal best, witness, nodes_total, pruned_total, aborted
+        b, w, nodes, pruned, ab = result
+        nodes_total += nodes
+        pruned_total += pruned
+        if w is not None and (b < best or (b == best and (witness is None or w < witness))):
+            best, witness = b, w
+        if ab:
+            aborted = True
+        else:
+            remaining.remove(p)
         if checkpoint:
             _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
 
     if budget.workers > 1 and len(prefixes) > 1:
-        seed_best, seed_have = best, have_witness
-        with ProcessPoolExecutor(max_workers=budget.workers) as pool:
-            futures = [
-                pool.submit(
-                    _search_branch, n, mode.value, p, seed_best, seed_have,
-                    budget.max_nodes, deadline,
-                )
-                for p in prefixes
-            ]
-            for p, fut in zip(prefixes, futures):
-                b, w, nodes, pruned, ab = fut.result()
-                nodes_total += nodes
-                pruned_total += pruned
-                aborted = aborted or ab
-                if w is not None and (b < best or (b == best and (witness is None or w < witness))):
-                    best, witness, have_witness = b, w, True
-                remaining.remove(p)
-                checkpoint_now()
+        shared = None
+        if budget.max_nodes is not None:
+            shared = multiprocessing.Value("q", budget.max_nodes)
+        with ProcessPoolExecutor(
+            max_workers=budget.workers, initializer=_init_pool, initargs=(engine, shared)
+        ) as pool:
+            # at most one branch per worker in flight, so each new branch
+            # starts from the best value known when it is submitted
+            todo = iter(prefixes)
+            running: dict = {}
+
+            def submit() -> None:
+                p = next(todo, None)
+                if p is not None and not aborted:
+                    fut = pool.submit(_pool_branch, p, best, witness, deadline)
+                    running[fut] = p
+
+            for _ in range(budget.workers):
+                submit()
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    merge(running.pop(fut), fut.result())
+                    submit()
     else:
-        for p in list(prefixes):
-            node_cap = None
-            if budget.max_nodes is not None:
-                node_cap = budget.max_nodes - nodes_total
-                if node_cap <= 0:
-                    aborted = True
-                    break
-            b, w, nodes, pruned, ab = _search_branch(
-                n, mode.value, p, best, have_witness, node_cap, deadline
-            )
-            nodes_total += nodes
-            pruned_total += pruned
-            if w is not None and b <= best:
-                best, witness, have_witness = b, w, True
-            if ab:
-                aborted = True
+        nodes_left = _NodeBudget(budget.max_nodes, deadline)
+        for p in prefixes:
+            merge(p, _search_branch(engine, p, best, witness, nodes_left))
+            if aborted:
                 break
-            remaining.remove(p)
-            checkpoint_now()
 
     if witness is None:
         witness = fallback_witness
@@ -373,9 +541,10 @@ def lex_least_with_count(
 ) -> SearchOutcome:
     """Lexicographically least transversal with exactly ``target`` triples.
 
-    Depth-first in lexicographic value order with partial-count pruning;
-    the first completed permutation hitting the target is returned.  If no
-    permutation attains the target the outcome carries found = False.
+    Depth-first in lexicographic value order, pruning on the look-ahead
+    bound of the module docstring; the first completed permutation hitting
+    the target is returned.  If no permutation attains the target the
+    outcome carries found = False.
     """
     if not is_prime(n) or n <= 2:
         raise NonPrimeModulus(f"lex_least_with_count requires an odd prime, got {n}")
@@ -385,55 +554,48 @@ def lex_least_with_count(
     start = time.perf_counter()
     deadline = start + budget.max_time if budget.max_time is not None else None
 
-    inv = [0] * n
-    for d in range(1, n):
-        inv[d] = pow(d, -1, n)
+    engine = _Placement(n, mode)
+    nn = n * n
+    place, counts, used_at = engine.place, engine.counts, engine.used
+    nodes_left = _NodeBudget(budget.max_nodes, deadline)
     sigma: list[int] = []
-    used = [False] * n
-    nodes = 0
-    pruned = 0
+    nodes = granted = pruned = 0
     result: Optional[list[int]] = None
 
-    def added_triples(pos: int, v: int) -> int:
-        add = 0
-        groups: dict[int, int] = {}
-        for i in range(pos):
-            s = ((v - sigma[i]) * inv[pos - i]) % n
-            t = groups.get(s, 0)
-            add += t
-            groups[s] = t + 1
-        return add
-
-    def rec(pos: int, cnt: int) -> bool:
-        nonlocal nodes, pruned, result
+    def rec(pos: int, cnt: int, A: int) -> bool:
+        nonlocal nodes, granted, pruned, result
         if pos == n:
             if cnt == target:
                 result = sigma.copy()
                 return True
             return False
+        vals = counts(A)
+        row = pos * n
+        base = cnt + sum([min(vals[b:b + n]) for b in range(row + n, nn, n)])
         for v in range(n):
-            if used[v]:
+            a = vals[row + v]
+            if a >= used_at:
                 continue
             nodes += 1
-            if budget.max_nodes is not None and nodes > budget.max_nodes:
-                raise _BudgetExhausted
-            if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
-                raise _BudgetExhausted
-            nc = cnt + added_triples(pos, v)
-            if nc > target:
+            if nodes > granted:
+                grant = nodes_left.take()
+                if not grant:
+                    nodes -= 1
+                    raise _BudgetExhausted
+                granted += grant
+            if base + a > target:
                 pruned += 1
                 continue
+            child = place(A, sigma, v)
             sigma.append(v)
-            used[v] = True
-            if rec(pos + 1, nc):
+            if rec(pos + 1, cnt + a, child):
                 return True
             sigma.pop()
-            used[v] = False
         return False
 
     aborted = False
     try:
-        rec(0, 0)
+        rec(0, 0, 0)
     except _BudgetExhausted:
         aborted = True
     elapsed = time.perf_counter() - start
@@ -615,43 +777,61 @@ def ct0_subsets(
     """Max triple count over quadruple-free subsets of the full grid.
 
     Exact enumeration for n <= exact_threshold; a beam-search heuristic
-    (exact = False, value is a lower bound) beyond that.
+    (exact = False, value is a lower bound) beyond that.  Both stop once
+    ``budget.max_nodes`` subsets were examined or ``budget.max_time`` seconds
+    passed, and then return the best subset so far with exact = False.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    budget = budget or SearchBudget()
     start = time.perf_counter()
     if n == 1:
         return SearchOutcome(0, [(0, 0)], True, elapsed=time.perf_counter() - start)
+    deadline = start + budget.max_time if budget.max_time is not None else None
     kernel = CollinearityKernel(n, mode)
     quad_lines = _distinct_line_masks(n, mode, 4)
     triple_masks = _grid_triple_masks(n, kernel)
+    nodes = 0
+    aborted = False
 
     def quadfree(mask: int) -> bool:
         return all((mask & lm).bit_count() <= 3 for lm in quad_lines)
 
+    def spent() -> bool:
+        return (budget.max_nodes is not None and nodes >= budget.max_nodes) or (
+            deadline is not None and time.perf_counter() > deadline
+        )
+
+    def outcome(best: int, best_mask: int, exact: bool, note: str) -> SearchOutcome:
+        witness = _mask_points(best_mask, n)
+        check = count_triples(witness, n, mode) if witness else 0
+        if check != best:
+            raise AssertionError("ct0 witness failed recount")
+        if aborted:
+            exact, note = False, "lower bound: search budget exhausted"
+        return SearchOutcome(best, witness, exact, nodes, 0,
+                             time.perf_counter() - start, note=note)
+
     if n <= exact_threshold:
         best = 0
         best_mask = 0
-        nodes = 0
         for mask in range(1 << (n * n)):
+            if spent():
+                aborted = True
+                break
             nodes += 1
             if not quadfree(mask):
                 continue
             t = sum(1 for tm in triple_masks if mask & tm == tm)
             if t > best:
                 best, best_mask = t, mask
-        witness = _mask_points(best_mask, n)
-        check = count_triples(witness, n, mode) if witness else 0
-        if check != best:
-            raise AssertionError("ct0 witness failed recount")
-        return SearchOutcome(best, witness, True, nodes, 0, time.perf_counter() - start)
+        return outcome(best, best_mask, True, "")
 
     # beam search: grow quadruple-free subsets greedily by triple count
     beam: list[tuple[int, int]] = [(0, 0)]  # (triples, mask)
     best, best_mask = 0, 0
-    nodes = 0
     all_ids = range(n * n)
-    while beam:
+    while beam and not aborted:
         candidates: dict[int, int] = {}
         for t, mask in beam:
             pts = _mask_points(mask, n)
@@ -662,26 +842,24 @@ def ct0_subsets(
                 new_mask = mask | bit
                 if new_mask in candidates or not quadfree(new_mask):
                     continue
+                if spent():
+                    aborted = True
+                    break
                 nodes += 1
                 p = (pid // n, pid % n)
                 gained = sum(
                     1 for q1, q2 in combinations(pts, 2) if kernel.collinear(q1, q2, p)
                 )
                 candidates[new_mask] = t + gained
+            if aborted:
+                break
         if not candidates:
             break
         ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
         beam = [(t, m) for m, t in ranked[:beam_width]]
         if beam[0][0] > best:
             best, best_mask = beam[0]
-    witness = _mask_points(best_mask, n)
-    check = count_triples(witness, n, mode) if witness else 0
-    if check != best:
-        raise AssertionError("ct0 witness failed recount")
-    return SearchOutcome(
-        best, witness, False, nodes, 0, time.perf_counter() - start,
-        note="lower bound: heuristic beam search",
-    )
+    return outcome(best, best_mask, False, "lower bound: heuristic beam search")
 
 
 def max_triple_free_subset(

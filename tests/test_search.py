@@ -1,13 +1,18 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modgrid.census import count_quadruples, count_triples, transversal_points
 from modgrid.constructions import g_permutation
-from modgrid.errors import CheckpointMismatch, NonPrimeModulus
+from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus
 from modgrid.geometry import CollinearityMode
 from modgrid.search import (
+    SEARCH_BOUND,
     SearchBudget,
+    _Placement,
     ct0_subsets,
     lex_least_with_count,
     max_triple_free_subset,
@@ -97,6 +102,113 @@ def test_psi_checkpoint_roundtrip(tmp_path):
     assert resumed.exact and resumed.value == 5
 
 
+# lex-least optimal witnesses; no pruning rule may change them
+LEX_LEAST_WITNESSES = {
+    (9, UNIT): [0, 1, 2, 6, 7, 8, 4, 5, 3],
+    (10, UNIT): [0, 1, 3, 7, 2, 6, 5, 9, 4, 8],
+    (11, UNIT): [0, 1, 2, 7, 5, 4, 10, 3, 9, 8, 6],
+    (12, UNIT): [0, 1, 3, 9, 11, 6, 5, 10, 2, 4, 8, 7],
+    (8, ANY): [0, 1, 2, 3, 5, 4, 7, 6],
+    (9, ANY): [0, 1, 2, 4, 3, 6, 5, 8, 7],
+}
+
+
+@pytest.mark.parametrize("n,mode", sorted(LEX_LEAST_WITNESSES))
+def test_psi_witness_pinned(n, mode):
+    out = psi(n, mode=mode)
+    assert out.exact
+    assert out.witness == LEX_LEAST_WITNESSES[(n, mode)]
+
+
+def _bound_case(n, mode, prefix):
+    """(cnt, node bound, {v: child bound}) of the engine at ``prefix``."""
+    engine = _Placement(n, mode)
+    A, _, cnt = engine.root(prefix)
+    vals = engine.counts(A)
+    pos = len(prefix)
+    node = cnt + engine.rest(vals, pos)
+    rest = engine.rest(vals, pos + 1)
+    children = {v: cnt + vals[pos * n + v] + rest for v in range(n) if v not in prefix}
+    return cnt, node, children
+
+
+def _best_completion(n, mode, prefix):
+    free = [v for v in range(n) if v not in prefix]
+    return min(
+        count_triples(transversal_points(list(prefix) + list(tail)), n, mode)
+        for tail in itertools.permutations(free)
+    )
+
+
+@st.composite
+def _prefixes(draw):
+    n = draw(st.integers(3, 8))
+    perm = draw(st.permutations(range(n)))
+    # keep at most 5 free values, so brute force stays at 120 completions
+    k = draw(st.integers(max(0, n - 5), n))
+    return n, tuple(perm[:k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_prefixes(), mode=st.sampled_from([UNIT, ANY]))
+def test_lookahead_bound_is_admissible(case, mode):
+    n, prefix = case
+    cnt, node, children = _bound_case(n, mode, prefix)
+    assert cnt == count_triples(list(enumerate(prefix)), n, mode)
+    assert node <= _best_completion(n, mode, prefix)
+    for v, bound in children.items():
+        assert bound <= _best_completion(n, mode, prefix + (v,))
+    if len(prefix) == n:
+        assert node == cnt
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("max_nodes", [50, 3000, 12000])
+def test_interrupted_resume_matches_uninterrupted(tmp_path, n, workers, max_nodes):
+    ref = psi(n)
+    path = str(tmp_path / "ckpt.json")
+    budget = SearchBudget(max_nodes=max_nodes, workers=workers)
+    partial = psi(n, budget=budget, checkpoint=path)
+    assert not partial.exact
+    # one node budget for the whole search, however many workers share it
+    assert partial.nodes_explored <= max_nodes
+    with open(path) as fh:
+        assert json.load(fh)["remaining"]
+    psi(n, budget=budget, checkpoint=path)  # a second interrupted leg
+    resumed = psi(n, budget=SearchBudget(workers=workers), checkpoint=path)
+    assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
+
+
+def test_resume_holding_a_lex_greater_witness_finds_the_lex_least(tmp_path):
+    ref = psi(9)
+    w = ref.witness
+    # images of the optimum under y -> -y and under a column shift
+    held_elsewhere = [(-y) % 9 for y in w]  # in branch (0, 8)
+    held_inside = [(w[(x + 1) % 9] - w[1]) % 9 for x in range(9)]  # in branch (0, 1)
+    for held in (held_elsewhere, held_inside):
+        assert held > w and count_triples(transversal_points(held), 9) == ref.value
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({
+            "version": 1, "n": 9, "mode": "unit", "reduction": "translate",
+            "best": ref.value, "witness": held,
+            "remaining": [[0, v] for v in range(1, 9)],
+        }))
+        resumed = psi(9, checkpoint=str(path))
+        assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, w)
+
+
+def test_transversal_search_bound():
+    # the largest prime under the bound builds its tables and runs budgeted
+    out = psi(127, budget=SearchBudget(max_nodes=2000))
+    assert not out.exact and out.nodes_explored == 2000
+    assert out.value == count_triples(transversal_points(out.witness), 127)
+    with pytest.raises(BoundExceeded):
+        psi(SEARCH_BOUND + 3)
+    with pytest.raises(BoundExceeded):
+        lex_least_with_count(SEARCH_BOUND + 3)
+
+
 def test_psi_checkpoint_mismatch(tmp_path):
     path = str(tmp_path / "ckpt.json")
     psi(7, budget=SearchBudget(max_nodes=50), checkpoint=path)
@@ -154,6 +266,20 @@ def test_ct0_beam_is_inexact_lower_bound():
     assert out.note.startswith("lower bound")
     assert count_triples(out.witness, 5) == out.value
     assert count_quadruples(out.witness, 5) == 0
+
+
+def test_ct0_honours_budget():
+    full = ct0_subsets(4)
+    out = ct0_subsets(4, budget=SearchBudget(max_nodes=1000))
+    assert not out.exact and out.nodes_explored == 1000
+    assert out.note == "lower bound: search budget exhausted"
+    assert out.value <= full.value
+    assert count_triples(out.witness, 4) == out.value
+    beam = ct0_subsets(5, budget=SearchBudget(max_nodes=40))
+    assert not beam.exact and beam.nodes_explored == 40
+    assert beam.note == "lower bound: search budget exhausted"
+    timed = ct0_subsets(4, budget=SearchBudget(max_time=0.0))
+    assert not timed.exact and timed.nodes_explored == 0
 
 
 def test_max_triple_free_subset():
