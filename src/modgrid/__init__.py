@@ -19,9 +19,9 @@ from .constructions import (
 from .geometry import (
     DEFAULT_MODE,
     INF,
-    CollinearityKernel,
     CollinearityMode,
     ModularLine,
+    collinear_points,
     collinear_set,
     collinear_triple,
     line_through,

@@ -1,35 +1,42 @@
 """Exact counting of collinear triples/quadruples and slope statistics.
 
-Two counting routes are kept deliberately:
+Prime n: two distinct points lie on exactly one line, so one pass over the
+pairs counts the pairs on each line, keyed s*n + c for the line
+y = s*x + c and n*n + c for the vertical line x = c.  A line holding c pairs
+holds k points with C(k, 2) = c, k = (1 + isqrt(1 + 8c)) / 2, and the set
+has sum C(k, 3) collinear triples and sum C(k, 4) quadruples.  Slopes need
+the inverses of the x-differences that occur, computed as they first occur.
 
-  * a naive subset scan valid for every modulus and mode, and
-  * a prime-only fast path that buckets pairs by their (unique) line and
-    sums binomials.
+Composite n: the line through two points need not be unique.  Each subset
+is charged to its first point p0; for each p0 the differences of the later
+points are taken once, every triple is the closed-form test of ``geometry``
+on one 2x2 minor, and every quadruple extending a collinear triple one more
+test on three minors: O(m^3) tests for triples.
 
-The fast path is validated against the naive one by test, never assumed.
+``count_triples_naive`` and ``count_quadruples_naive`` scan subsets with
+the line-scan predicate ``collinear_set`` alone, at O(n^2) per subset.  They
+are the oracles the counts are tested against, for small n only.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegenerateInput, NonPrimeModulus
 from .geometry import (
     DEFAULT_MODE,
-    INF,
-    CollinearityKernel,
     CollinearityMode,
-    KERNEL_DEFAULT_BOUND,
     ModularLine,
     Point,
+    collinear_by_minors,
     collinear_set,
-    collinear_triple,
-    line_through,
     pair_slope,
 )
-from .modring import is_prime, mod_inverse
+from .modring import is_prime
 
 __all__ = [
     "validate_transversal",
@@ -78,112 +85,131 @@ def _checked_points(points: Sequence[Point], n: int) -> list[Point]:
     return pts
 
 
-def _kernel_or_none(n: int, mode: CollinearityMode) -> Optional[CollinearityKernel]:
-    if n <= KERNEL_DEFAULT_BOUND:
-        return CollinearityKernel(n, mode)
-    return None
-
-
 def count_triples_naive(
-    points: Sequence[Point],
-    n: int,
-    mode: CollinearityMode = DEFAULT_MODE,
-    kernel: Optional[CollinearityKernel] = None,
+    points: Sequence[Point], n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> int:
-    """O(|S|^3) scan over 3-subsets; valid for every modulus and mode."""
+    """O(|S|^3) scan over 3-subsets with ``collinear_set`` (test oracle)."""
     pts = _checked_points(points, n)
-    if kernel is None:
-        kernel = _kernel_or_none(n, mode)
-    if kernel is not None:
-        pred = kernel.collinear
-        return sum(1 for t in combinations(pts, 3) if pred(*t))
-    return sum(1 for t in combinations(pts, 3) if collinear_triple(*t, n, mode))
+    return sum(1 for t in combinations(pts, 3) if collinear_set(t, n, mode))
 
 
 def count_quadruples_naive(
-    points: Sequence[Point],
-    n: int,
-    mode: CollinearityMode = DEFAULT_MODE,
-    kernel: Optional[CollinearityKernel] = None,
+    points: Sequence[Point], n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> int:
-    """O(|S|^4) scan over 4-subsets.
-
-    For composite n a quadruple must be confirmed on a single line via
-    collinear_set; four pairwise-collinear subtriples are only a filter.
-    """
+    """O(|S|^4) scan over 4-subsets with ``collinear_set`` (test oracle)."""
     pts = _checked_points(points, n)
-    if is_prime(n):
-        return sum(
-            1
-            for q in combinations(pts, 4)
-            if collinear_triple(q[0], q[1], q[2], n, mode)
-            and collinear_triple(q[0], q[1], q[3], n, mode)
-        )
-    if kernel is None:
-        kernel = _kernel_or_none(n, mode)
-    count = 0
-    for q in combinations(pts, 4):
-        if kernel is not None:
-            if not (
-                kernel.collinear(q[0], q[1], q[2])
-                and kernel.collinear(q[0], q[1], q[3])
-                and kernel.collinear(q[0], q[2], q[3])
-                and kernel.collinear(q[1], q[2], q[3])
-            ):
-                continue
-        if collinear_set(q, n, mode):
-            count += 1
-    return count
+    return sum(1 for q in combinations(pts, 4) if collinear_set(q, n, mode))
+
+
+def _pairs_per_line(pts: list[Point], n: int) -> Counter:
+    """Pairs of the point set on each line (prime n), keyed as in the
+    module docstring."""
+    inv: dict[int, int] = {}
+    vertical = n * n
+    keys = []
+    for i, (px, py) in enumerate(pts):
+        for qx, qy in pts[i + 1:]:
+            dx = (qx - px) % n
+            if dx:
+                if dx not in inv:
+                    inv[dx] = pow(dx, -1, n)
+                s = (qy - py) * inv[dx] % n
+                keys.append(s * n + (py - s * px) % n)
+            else:
+                keys.append(vertical + px)
+    return Counter(keys)
+
+
+def _points_on(pairs: int) -> int:
+    """k with C(k, 2) == pairs."""
+    return (1 + math.isqrt(1 + 8 * pairs)) // 2
+
+
+def _binomial_sum(lines: Counter, r: int) -> int:
+    """Sum of C(k, r) over the lines of a pair count."""
+    return sum(comb(_points_on(c), r) * m for c, m in Counter(lines.values()).items())
+
+
+def _collinear_pairs(
+    d: list[Point], g: list[int], n: int, mode: CollinearityMode
+) -> Iterator[tuple[int, int, int]]:
+    """(j, k, det) for each j < k with {p0, p0 + d_j, p0 + d_k} collinear, in
+    order.  The d_i are distinct, nonzero and reduced mod n, g[i] is the gcd
+    of n and the entries of d_i, and det is the one minor of d_j and d_k."""
+    for j, k in combinations(range(len(d)), 2):
+        (ax, ay), (bx, by) = d[j], d[k]
+        det = ax * by - bx * ay
+        if collinear_by_minors(det, math.gcd(g[j], g[k]), n, mode):
+            yield j, k, det
+
+
+def _anchored_counts(
+    d: list[Point], n: int, mode: CollinearityMode, quadruples: bool
+) -> tuple[int, int]:
+    """(triples, quadruples) of collinear subsets {p0} + T, T drawn from the
+    points p0 + d_i (as in _collinear_pairs).
+
+    Quadruples are counted only when ``quadruples`` is set."""
+    g = [math.gcd(n, dx, dy) for dx, dy in d]
+    triples = quads = 0
+    for j, k, det in _collinear_pairs(d, g, n, mode):
+        triples += 1
+        if quadruples:
+            (ax, ay), (bx, by) = d[j], d[k]
+            for l in range(k + 1, len(d)):
+                cx, cy = d[l]
+                minors = math.gcd(det, ax * cy - cx * ay, bx * cy - cx * by)
+                quads += collinear_by_minors(minors, math.gcd(g[j], g[k], g[l]), n, mode)
+    return triples, quads
+
+
+def _composite_counts(
+    pts: list[Point], n: int, mode: CollinearityMode, quadruples: bool
+) -> tuple[int, int]:
+    triples = quads = 0
+    for i, (x0, y0) in enumerate(pts):
+        d = [((x - x0) % n, (y - y0) % n) for x, y in pts[i + 1:]]
+        t, q = _anchored_counts(d, n, mode, quadruples)
+        triples += t
+        quads += q
+    return triples, quads
 
 
 def line_decomposition(points: Sequence[Point], n: int) -> TripleCensus:
     """Full line census of a point set (prime n): every line with k >= 2."""
     if not is_prime(n):
         raise NonPrimeModulus(f"line_decomposition requires prime n, got {n}")
-    pts = _checked_points(points, n)
-    buckets: dict[tuple[int, int, int], set[Point]] = {}
-    inv = [0] * n
-    for d in range(1, n):
-        inv[d] = pow(d, -1, n)
-    for p, q in combinations(pts, 2):
-        dx = (q[0] - p[0]) % n
-        if dx == 0:
-            key = (1, 0, p[0])
-        else:
-            s = ((q[1] - p[1]) * inv[dx]) % n
-            key = ((-s) % n, 1, (p[1] - s * p[0]) % n)
-        buckets.setdefault(key, set()).update((p, q))
-    lines = [
-        (ModularLine(a, b, c, n), len(members))
-        for (a, b, c), members in sorted(buckets.items())
-    ]
-    triples = sum(comb(k, 3) for _, k in lines)
-    quadruples = sum(comb(k, 4) for _, k in lines)
-    return TripleCensus(triples=triples, quadruples=quadruples, lines=lines)
+    lines = _pairs_per_line(_checked_points(points, n), n)
+    vertical = n * n
+    params = sorted(
+        ((1, 0, key - vertical) if key >= vertical else ((-(key // n)) % n, 1, key % n), c)
+        for key, c in lines.items()
+    )
+    return TripleCensus(
+        triples=_binomial_sum(lines, 3),
+        quadruples=_binomial_sum(lines, 4),
+        lines=[(ModularLine(a, b, c, n), _points_on(pairs)) for (a, b, c), pairs in params],
+    )
 
 
 def count_triples(
-    points: Sequence[Point],
-    n: int,
-    mode: CollinearityMode = DEFAULT_MODE,
-    kernel: Optional[CollinearityKernel] = None,
+    points: Sequence[Point], n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> int:
     """Exact number of collinear 3-subsets of the point set."""
+    pts = _checked_points(points, n)
     if is_prime(n):
-        return line_decomposition(points, n).triples
-    return count_triples_naive(points, n, mode, kernel)
+        return _binomial_sum(_pairs_per_line(pts, n), 3)
+    return _composite_counts(pts, n, mode, quadruples=False)[0]
 
 
 def count_quadruples(
-    points: Sequence[Point],
-    n: int,
-    mode: CollinearityMode = DEFAULT_MODE,
-    kernel: Optional[CollinearityKernel] = None,
+    points: Sequence[Point], n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> int:
     """Exact number of collinear 4-subsets of the point set."""
+    pts = _checked_points(points, n)
     if is_prime(n):
-        return line_decomposition(points, n).quadruples
-    return count_quadruples_naive(points, n, mode, kernel)
+        return _binomial_sum(_pairs_per_line(pts, n), 4)
+    return _composite_counts(pts, n, mode, quadruples=True)[1]
 
 
 def slope_histogram(sigma: Sequence[int], n: int) -> dict:

@@ -9,15 +9,36 @@ mode-parameterized:
 
 For prime n the two modes coincide.  The package default is UNIT_LINE,
 pinned by the Psi(9) = 5 table experiment (see tests/test_search.py).
+
+Closed form.  For distinct points p0, ..., pk let d_i = p_i - p0, let M be
+the gcd of all 2x2 minors of the d_i, and g = gcd(n, every entry of every
+d_i).  Then
+
+  UNIT_LINE-collinear  <=>  n*g divides M,
+  ANY_LINE-collinear   <=>  gcd(M, n) > 1.
+
+Why: both conditions split over the prime powers q = p^e exactly dividing n
+by CRT, so take n = q.  A unit line through p0 is {t*u} for a primitive u,
+a cyclic subgroup of order q, and every cyclic subgroup lies in one.  The
+d_i generate Z_q/(s1) + Z_q/(s2), where s1 | s2 are the Smith invariants of
+the 2 x k matrix of the d_i (s1 = gcd of its entries, s1*s2 = M); the group
+is cyclic iff q | s2, which is q*gcd(q, s1) | M.  For ANY_LINE, a nonzero
+(a, b) mod n kills every d_i iff for some prime p | n the d_i span at most
+a line of (Z_p)^2, that is p | M.  Any representatives of the entries will
+do: adding n to one changes M only by a multiple of n*g.  For a triple M is
+the single minor, and for prime n both tests read det = 0 mod p.
+``collinear_set``, a scan over all lines, is the reference the tests hold
+the closed form to.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .errors import BoundExceeded, DegenerateInput, DegeneratePair, NonPrimeModulus
+from .errors import DegenerateInput, DegeneratePair, NonPrimeModulus
 from .modring import is_prime, mod_inverse
 
 __all__ = [
@@ -27,10 +48,10 @@ __all__ = [
     "ModularLine",
     "pair_slope",
     "line_through",
+    "collinear_by_minors",
+    "collinear_points",
     "collinear_triple",
     "collinear_set",
-    "CollinearityKernel",
-    "KERNEL_DEFAULT_BOUND",
 ]
 
 Point = tuple[int, int]
@@ -48,8 +69,6 @@ class CollinearityMode(str, Enum):
 #: value 5 while ANY_LINE yields a strictly larger count (regression fixture
 #: in tests/test_search.py).
 DEFAULT_MODE = CollinearityMode.UNIT_LINE
-
-KERNEL_DEFAULT_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -121,24 +140,39 @@ def line_through(p: Point, q: Point, n: int) -> ModularLine:
     return ModularLine((-s) % n, 1, (p[1] - s * p[0]) % n, n)
 
 
-def _diff_det(p1: Point, p2: Point, p3: Point, n: int) -> int:
-    return ((p2[0] - p1[0]) * (p3[1] - p1[1]) - (p3[0] - p1[0]) * (p2[1] - p1[1])) % n
+def collinear_by_minors(minors: int, g: int, n: int, mode: CollinearityMode) -> bool:
+    """The closed-form collinearity test of the module docstring.
+
+    ``minors`` is the gcd of the 2x2 minors of the differences d_i = p_i - p0
+    and ``g`` the gcd of n and every entry of every d_i.
+    """
+    if mode == CollinearityMode.ANY_LINE:
+        return math.gcd(minors, n) > 1
+    return minors % (n * g) == 0
+
+
+def collinear_points(
+    points: Sequence[Point], n: int, mode: CollinearityMode = DEFAULT_MODE
+) -> bool:
+    """Whether distinct points lie on a common line (per mode), in closed form."""
+    pts = _require_distinct(points, n)
+    if len(pts) < 2:
+        raise DegenerateInput("collinear_points needs at least 2 points")
+    x0, y0 = pts[0]
+    d = [((x - x0) % n, (y - y0) % n) for x, y in pts[1:]]
+    minors = 0
+    for (ax, ay), (bx, by) in combinations(d, 2):
+        minors = math.gcd(minors, ax * by - bx * ay)
+    return collinear_by_minors(minors, math.gcd(n, *chain.from_iterable(d)), n, mode)
 
 
 def collinear_triple(
     p1: Point, p2: Point, p3: Point, n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> bool:
-    """Whether three distinct points lie on a common line (per mode).
-
-    Prime n (either mode) and composite ANY_LINE use the determinant/gcd
-    criterion; its equivalence with the exhaustive line scan is proved by
-    test (tests/test_geometry.py).  Composite UNIT_LINE falls back to the
-    exhaustive scan.
-    """
-    pts = _require_distinct([p1, p2, p3], n)
-    if mode == CollinearityMode.ANY_LINE or is_prime(n):
-        return math.gcd(_diff_det(*pts, n), n) > 1
-    return collinear_set(pts, n, mode)
+    """Whether three distinct points lie on a common line (per mode)."""
+    (x0, y0), (x1, y1), (x2, y2) = _require_distinct((p1, p2, p3), n)
+    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    return collinear_by_minors(ax * by - bx * ay, math.gcd(n, ax, ay, bx, by), n, mode)
 
 
 def _mode_coeffs(n: int, mode: CollinearityMode) -> Iterable[tuple[int, int]]:
@@ -156,8 +190,9 @@ def collinear_set(
 ) -> bool:
     """Reference predicate: some single line (per mode) contains every point.
 
-    Scans all qualifying (a, b) with c forced by the first point.  This is
-    the semantics every fast path is validated against.
+    Scans all qualifying (a, b) with c forced by the first point, O(n^2) per
+    call.  This is the semantics the closed form is tested against; the
+    package computes with the closed form only.
     """
     pts = _require_distinct(points, n)
     if len(pts) < 2:
@@ -169,61 +204,3 @@ def collinear_set(
         if all((a * x + b * y - c) % n == 0 for x, y in rest):
             return True
     return False
-
-
-class CollinearityKernel:
-    """Precomputed translation-invariant triple predicate.
-
-    Keyed by the difference vectors (p2 - p1, p3 - p1); answers
-    collinear_triple for every translate.  Entries for degenerate
-    difference pairs (zero or equal differences) are never queried.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        mode: CollinearityMode = DEFAULT_MODE,
-        bound: int = KERNEL_DEFAULT_BOUND,
-    ):
-        if n > bound:
-            raise BoundExceeded(f"kernel table for n={n} exceeds bound {bound}")
-        self.n = n
-        self.mode = mode
-        n2 = n * n
-        self.n2 = n2
-        table = bytearray(n2 * n2)
-        if mode == CollinearityMode.ANY_LINE or is_prime(n):
-            for dx2 in range(n):
-                for dy2 in range(n):
-                    i2 = (dx2 * n + dy2) * n2
-                    for dx3 in range(n):
-                        for dy3 in range(n):
-                            det = (dx2 * dy3 - dx3 * dy2) % n
-                            if math.gcd(det, n) > 1:
-                                table[i2 + dx3 * n + dy3] = 1
-        else:
-            for a, b in _mode_coeffs(n, mode):
-                annihilated = [
-                    dx * n + dy
-                    for dx in range(n)
-                    for dy in range(n)
-                    if (a * dx + b * dy) % n == 0
-                ]
-                for i2 in annihilated:
-                    row = i2 * n2
-                    for i3 in annihilated:
-                        table[row + i3] = 1
-        self.table = table
-
-    def lookup(self, d2: Point, d3: Point) -> bool:
-        """Predicate on difference vectors d2 = p2 - p1, d3 = p3 - p1."""
-        n = self.n
-        i2 = (d2[0] % n) * n + d2[1] % n
-        i3 = (d3[0] % n) * n + d3[1] % n
-        return bool(self.table[i2 * self.n2 + i3])
-
-    def collinear(self, p1: Point, p2: Point, p3: Point) -> bool:
-        n = self.n
-        i2 = ((p2[0] - p1[0]) % n) * n + (p2[1] - p1[1]) % n
-        i3 = ((p3[0] - p1[0]) % n) * n + (p3[1] - p1[1]) % n
-        return bool(self.table[i2 * self.n2 + i3])

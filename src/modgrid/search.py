@@ -19,12 +19,15 @@ Taking the minimum over a free set that still contains v only weakens it.
 The matrix is updated incrementally.  Placing P adds, for each earlier
 point Q, 1 to every later cell collinear with Q and P: along the line of
 slope (P - Q) for prime n, and from per-difference masks built once per
-search from the collinearity kernel for composite n.  Cells of used values
-are raised to a blocking value, so a row minimum is a minimum over free
-values.  A is packed into one int of 16-bit fields (see _Placement), so an
-update is a few big-int operations, and each descent builds a new matrix
-from its parent's: backtracking needs no undo.  The tables take about 6n^3
-bytes for prime n and n^4 for composite n, the size of the kernel.
+search for composite n.  A composite mask is the union of the lines through
+the origin that hold the difference, each line given by its point list
+(see _origin_sets), so building all masks costs O(psi(n) * n^2) cell marks
+rather than one predicate call per cell.  Cells of used values are raised
+to a blocking value, so a row minimum is a minimum over free values.  A is
+packed into one int of 16-bit fields (see _Placement), so an update is a
+few big-int operations, and each descent builds a new matrix from its
+parent's: backtracking needs no undo.  The tables take about 6n^3 bytes for
+prime n and 2n^4 for composite n, which COMPOSITE_BOUND caps.
 
 Symmetry reduction: sigma(0) = 0 for every n (value translation), plus
 sigma(1) = 1 for prime n (value scaling by a unit).  Both reductions are
@@ -43,27 +46,23 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .census import (
+    _anchored_counts,
+    _collinear_pairs,
     count_quadruples,
     count_triples,
-    count_triples_naive,
     transversal_points,
 )
 from .constructions import inverse_permutation
 from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus
-from .geometry import (
-    DEFAULT_MODE,
-    CollinearityKernel,
-    CollinearityMode,
-    Point,
-    collinear_set,
-)
+from .geometry import DEFAULT_MODE, CollinearityMode, Point, collinear_triple
 from .modring import is_prime
 
 __all__ = [
     "SEARCH_BOUND",
+    "COMPOSITE_BOUND",
     "SearchBudget",
     "SearchOutcome",
     "psi",
@@ -157,7 +156,49 @@ class _NodeBudget:
 #: bits, and every pair count C(n-1, 2) must stay below the used mark 2**14
 SEARCH_BOUND = 128
 
+#: largest composite n the transversal searches accept, since the composite
+#: masks take about 2n^4 bytes; the grid searches, which scan subsets of all
+#: n^2 points, accept no n above it either
+COMPOSITE_BOUND = 64
+
 _FIELD = 16
+
+
+def _check_bound(n: int, bound: int = SEARCH_BOUND) -> None:
+    """Raise BoundExceeded for n above ``bound``, or composite n above
+    COMPOSITE_BOUND."""
+    if n > bound or (n > COMPOSITE_BOUND and not is_prime(n)):
+        raise BoundExceeded(f"search for n={n} exceeds bound "
+                            f"{bound if n > bound else COMPOSITE_BOUND}")
+
+
+def _origin_sets(n: int, mode: CollinearityMode) -> list[list[Point]]:
+    """Point sets through the origin such that 0, e and r are collinear (per
+    mode) iff one set holds both e and r (composite n).
+
+    UNIT_LINE: the unit lines through 0, the cyclic subgroups {t*u} of
+    primitive u, psi(n) of them.  ANY_LINE: 0, e, r are collinear iff
+    det(e, r) = 0 mod some prime p | n, that is iff e and r fall mod p on
+    one of the p + 1 lines through 0 of (Z_p)^2; one set per such line.
+    """
+    if mode == CollinearityMode.ANY_LINE:
+        return [
+            [(x, y) for x in range(n) for y in range(n) if (x * uy - y * ux) % p == 0]
+            for p in range(2, n + 1) if n % p == 0 and is_prime(p)
+            for ux, uy in [(0, 1)] + [(1, s) for s in range(p)]
+        ]
+    seen = bytearray(n * n)
+    lines = []
+    for ux in range(n):
+        for uy in range(n):
+            if seen[ux * n + uy] or math.gcd(n, ux, uy) != 1:
+                continue
+            # every primitive point of the line generates the same line
+            line = [(t * ux % n, t * uy % n) for t in range(n)]
+            for x, y in line:
+                seen[x * n + y] = 1
+            lines.append(line)
+    return lines
 
 
 class _Placement:
@@ -170,15 +211,14 @@ class _Placement:
     for P at (0, 0), with row r standing for column r + 1:
 
     - prime n: ``lines[s]``, the line of slope s (from Q to P);
-    - composite n: ``pairs[dx*n + dy]`` for Q = (-dx, -dy), built from the
-      collinearity kernel.
+    - composite n: ``pairs[dx*n + dy]`` for Q = (-dx, -dy), the cells of the
+      origin sets holding (dx, dy) (see _origin_sets).
 
     Their sum is rotated by v within each row and shifted to column pos + 1.
     """
 
     def __init__(self, n: int, mode: CollinearityMode):
-        if n > SEARCH_BOUND:
-            raise BoundExceeded(f"transversal search for n={n} exceeds bound {SEARCH_BOUND}")
+        _check_bound(n)
         self.n = n
         nn = n * n
         self.nbytes = nn * _FIELD // 8
@@ -205,15 +245,17 @@ class _Placement:
             self.inv = [0] + [pow(d, -1, n) for d in range(1, n)]
             self.lines = [mask((t - 1, s * t % n) for t in range(1, n)) for s in range(n)]
             return
-        table = CollinearityKernel(n, mode).table
-        self.pairs = [0] * nn
-        for dx in range(1, n - 1):
-            for dy in range(n):
-                row = (dx * n + dy) * nn
-                self.pairs[dx * n + dy] = mask(
-                    (t - 1, f) for t in range(1, n - dx) for f in range(n)
-                    if table[row + (dx + t) * n + (dy + f) % n]
-                )
+        # the sets are closed under negation, so Q = -e lies in the same sets as e
+        self.pairs = pairs = [0] * nn
+        for cells in _origin_sets(n, mode):
+            # column 0 is P's own, so differences with dx = 0 never occur
+            cells = [(x, y) for x, y in cells if x]
+            m = mask((x - 1, y) for x, y in cells)
+            for x, y in cells:
+                pairs[x * n + y] |= m
+        # keep the cells (t, f) with t <= n - 1 - dx: column n - dx holds Q
+        for e in range(nn):
+            pairs[e] &= (1 << ((n - 1 - e // n) * n * _FIELD)) - 1
 
     def place(self, A: int, sigma: Sequence[int], v: int) -> int:
         """The matrix after adding (len(sigma), v) to the placement ``sigma``."""
@@ -516,17 +558,17 @@ def psi(
 
 def psi_brute_force(n: int, mode: CollinearityMode = DEFAULT_MODE) -> SearchOutcome:
     """Plain enumeration of all n! transversals (oracle for small n)."""
+    _check_bound(n, COMPOSITE_BOUND)
     start = time.perf_counter()
     if n <= 2:
         return SearchOutcome(0, list(range(n)), True, elapsed=time.perf_counter() - start)
-    kernel = CollinearityKernel(n, mode)
     best = math.inf
     witness = None
     nodes = 0
     for perm in itertools.permutations(range(n)):
         nodes += 1
         pts = [(x, y) for x, y in enumerate(perm)]
-        c = count_triples_naive(pts, n, mode, kernel)
+        c = count_triples(pts, n, mode)
         if c < best:
             best = c
             witness = list(perm)
@@ -546,6 +588,7 @@ def lex_least_with_count(
     the target is returned.  If no permutation attains the target the
     outcome carries found = False.
     """
+    _check_bound(n)
     if not is_prime(n) or n <= 2:
         raise NonPrimeModulus(f"lex_least_with_count requires an odd prime, got {n}")
     if target is None:
@@ -621,20 +664,12 @@ def max_triples_quadfree_transversal(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_bound(n)
     budget = budget or SearchBudget()
     start = time.perf_counter()
     if n <= 2:
         return SearchOutcome(0, list(range(n)), True, elapsed=time.perf_counter() - start)
     deadline = start + budget.max_time if budget.max_time is not None else None
-    prime = is_prime(n)
-    if prime:
-        inv = [0] * n
-        for d in range(1, n):
-            inv[d] = pow(d, -1, n)
-        kernel = None
-    else:
-        kernel = CollinearityKernel(n, mode)
-
     sigma = [0]
     used = [False] * n
     used[0] = True
@@ -645,38 +680,9 @@ def max_triples_quadfree_transversal(
 
     def place_stats(pos: int, v: int) -> Optional[int]:
         """Added triples placing (pos, v), or None if a quadruple appears."""
-        p_new = (pos, v)
-        if prime:
-            add = 0
-            groups: dict[int, int] = {}
-            for i in range(pos):
-                s = ((v - sigma[i]) * inv[pos - i]) % n
-                t = groups.get(s, 0)
-                if t >= 2:
-                    return None  # 3 olds + new on one line
-                add += t
-                groups[s] = t + 1
-            return add
-        pts = [(i, sigma[i]) for i in range(pos)]
-        add = 0
-        coll_pairs = []
-        for i, j in combinations(range(pos), 2):
-            if kernel.collinear(pts[i], pts[j], p_new):
-                add += 1
-                coll_pairs.append((i, j))
-        # quadruple needs 3 olds on a line with the new point; for composite
-        # moduli pairwise subtriple collinearity is only a filter, confirm
-        # on an actual line
-        for i, j, k in combinations(range(pos), 3):
-            if (
-                kernel.collinear(pts[i], pts[j], p_new)
-                and kernel.collinear(pts[i], pts[k], p_new)
-                and kernel.collinear(pts[j], pts[k], p_new)
-                and kernel.collinear(pts[i], pts[j], pts[k])
-                and collinear_set([pts[i], pts[j], pts[k], p_new], n, mode)
-            ):
-                return None
-        return add
+        d = [((i - pos) % n, (sigma[i] - v) % n) for i in range(pos)]
+        add, quads = _anchored_counts(d, n, mode, quadruples=True)
+        return None if quads else add
 
     def rec(pos: int, cnt: int) -> None:
         nonlocal nodes, pruned, best, witness
@@ -750,17 +756,26 @@ def _distinct_line_masks(n: int, mode: CollinearityMode, min_points: int) -> lis
     return sorted(seen)
 
 
-def _grid_triple_masks(n: int, kernel: CollinearityKernel) -> list[int]:
+def _grid_triple_masks(n: int, mode: CollinearityMode) -> list[int]:
     pts = [(x, y) for x in range(n) for y in range(n)]
     masks = []
     for p1, p2, p3 in combinations(pts, 3):
-        if kernel.collinear(p1, p2, p3):
+        if collinear_triple(p1, p2, p3, n, mode):
             masks.append(
                 (1 << (p1[0] * n + p1[1]))
                 | (1 << (p2[0] * n + p2[1]))
                 | (1 << (p3[0] * n + p3[1]))
             )
     return masks
+
+
+def _pairs_collinear_with(
+    p: Point, others: Sequence[Point], n: int, mode: CollinearityMode
+) -> Iterator[tuple[int, int, int]]:
+    """The pairs {q1, q2} of ``others`` collinear with p, lazily (as from
+    census._collinear_pairs)."""
+    d = [((x - p[0]) % n, (y - p[1]) % n) for x, y in others]
+    return _collinear_pairs(d, [math.gcd(n, dx, dy) for dx, dy in d], n, mode)
 
 
 def _mask_points(mask: int, n: int) -> list[Point]:
@@ -783,14 +798,14 @@ def ct0_subsets(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_bound(n, COMPOSITE_BOUND)
     budget = budget or SearchBudget()
     start = time.perf_counter()
     if n == 1:
         return SearchOutcome(0, [(0, 0)], True, elapsed=time.perf_counter() - start)
     deadline = start + budget.max_time if budget.max_time is not None else None
-    kernel = CollinearityKernel(n, mode)
     quad_lines = _distinct_line_masks(n, mode, 4)
-    triple_masks = _grid_triple_masks(n, kernel)
+    triple_masks = _grid_triple_masks(n, mode)
     nodes = 0
     aborted = False
 
@@ -847,10 +862,7 @@ def ct0_subsets(
                     break
                 nodes += 1
                 p = (pid // n, pid % n)
-                gained = sum(
-                    1 for q1, q2 in combinations(pts, 2) if kernel.collinear(q1, q2, p)
-                )
-                candidates[new_mask] = t + gained
+                candidates[new_mask] = t + sum(1 for _ in _pairs_collinear_with(p, pts, n, mode))
             if aborted:
                 break
         if not candidates:
@@ -870,10 +882,10 @@ def max_triple_free_subset(
     """Maximum-size subset of the grid with no collinear triple (exact DFS)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    _check_bound(n, COMPOSITE_BOUND)
     budget = budget or SearchBudget()
     start = time.perf_counter()
     deadline = start + budget.max_time if budget.max_time is not None else None
-    kernel = CollinearityKernel(n, mode)
     pts = [(x, y) for x in range(n) for y in range(n)]
     total = len(pts)
     chosen: list[Point] = []
@@ -897,9 +909,7 @@ def max_triple_free_subset(
             if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
                 raise _BudgetExhausted
             p = pts[i]
-            if any(
-                kernel.collinear(q1, q2, p) for q1, q2 in combinations(chosen, 2)
-            ):
+            if any(_pairs_collinear_with(p, chosen, n, mode)):
                 pruned += 1
                 continue
             chosen.append(p)

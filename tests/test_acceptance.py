@@ -18,7 +18,7 @@ from modgrid.constructions import (
     inverse_permutation,
     mobius_permutation,
 )
-from modgrid.geometry import CollinearityKernel, CollinearityMode
+from modgrid.geometry import CollinearityMode
 from modgrid.modring import is_prime
 from modgrid.packing import (
     greedy_packing,
@@ -222,12 +222,11 @@ def test_criterion_9_equivalence_and_pruning_soundness():
     rng = random.Random(9)
     count_ok = True
     for p in (3, 5, 7, 11, 13):
-        kernel = CollinearityKernel(p)
         grid = [(x, y) for x in range(p) for y in range(p)]
         for _ in range(40):  # 40 per prime, 200 total
             pts = rng.sample(grid, rng.randrange(3, min(p * p, 16)))
             if (line_decomposition(pts, p).triples
-                    != count_triples_naive(pts, p, kernel=kernel)):
+                    != count_triples_naive(pts, p)):
                 count_ok = False
 
     worker_ok = all(

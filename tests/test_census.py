@@ -16,7 +16,8 @@ from modgrid.census import (
 )
 from modgrid.constructions import cubic_permutation, inverse_permutation
 from modgrid.errors import DegenerateInput, NonPrimeModulus
-from modgrid.geometry import INF, CollinearityKernel, CollinearityMode
+from modgrid.geometry import INF, CollinearityMode
+from modgrid.modring import is_prime
 
 
 def identity_points(n):
@@ -51,16 +52,30 @@ def _random_subset(rng, n, size):
     return rng.sample(pts, size)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_fast_path_equals_naive(p):
-    rng = random.Random(p)
-    kernel = CollinearityKernel(p)
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 4, 6, 8, 9, 10, 12])
+def test_fast_path_equals_naive(n):
+    rng = random.Random(n)
+    modes = [CollinearityMode.UNIT_LINE] if is_prime(n) else list(CollinearityMode)
     for _ in range(40):
-        size = rng.randrange(2, min(p * p, 13))
-        pts = _random_subset(rng, p, size)
-        census = line_decomposition(pts, p)
-        assert census.triples == count_triples_naive(pts, p, kernel=kernel)
-        assert census.quadruples == count_quadruples_naive(pts, p, kernel=kernel)
+        size = rng.randrange(2, min(n * n, 13))
+        pts = _random_subset(rng, n, size)
+        for mode in modes:
+            naive = (count_triples_naive(pts, n, mode), count_quadruples_naive(pts, n, mode))
+            assert (count_triples(pts, n, mode), count_quadruples(pts, n, mode)) == naive
+        if is_prime(n):
+            census = line_decomposition(pts, n)
+            assert (census.triples, census.quadruples) == naive
+
+
+def test_census_inverts_only_the_differences_that_occur():
+    # a table of all p - 1 inverses would take minutes and gigabytes here
+    p = 1_000_000_007
+    pts = [(0, 0), (1, 1), (2, 2), (5, 7), (3, p - 1)]
+    assert count_triples(pts, p) == 1
+    assert count_quadruples(pts, p) == 0
+    census = line_decomposition(pts, p)
+    assert census.triples == 1 and census.quadruples == 0
+    assert sum(comb(k, 2) for _, k in census.lines) == comb(5, 2)
 
 
 def test_pair_accounting_for_quadruple_free_sets():

@@ -3,13 +3,15 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modgrid.errors import BoundExceeded, DegenerateInput, DegeneratePair, NonPrimeModulus
+from modgrid.errors import DegenerateInput, DegeneratePair, NonPrimeModulus
 from modgrid.geometry import (
     INF,
-    CollinearityKernel,
     CollinearityMode,
     ModularLine,
+    collinear_points,
     collinear_set,
     collinear_triple,
     line_through,
@@ -179,32 +181,38 @@ def test_translation_and_permutation_invariance():
 
 
 class TestCollinearityKernel:
-    def test_bound(self):
-        with pytest.raises(BoundExceeded):
-            CollinearityKernel(65)
+    """The triple predicate on difference vectors (d2, d3) = (p2 - p1, p3 - p1),
+    computed in closed form, against the line scan ``collinear_set``."""
 
     def test_n2_all_false(self):
         for mode in (ANY, UNIT):
-            kern = CollinearityKernel(2, mode)
             for d2, d3 in _distinct_diff_pairs(2):
-                assert not kern.lookup(d2, d3)
+                assert not collinear_triple((0, 0), d2, d3, 2, mode)
 
     def test_examples(self):
-        kern = CollinearityKernel(5)
-        assert kern.lookup((1, 1), (2, 2))
-        any9 = CollinearityKernel(9, ANY)
-        unit9 = CollinearityKernel(9, UNIT)
-        assert any9.table != unit9.table
-        assert any9.lookup((3, 0), (0, 3)) and not unit9.lookup((3, 0), (0, 3))
+        assert collinear_triple((0, 0), (1, 1), (2, 2), 5)
+        assert collinear_triple((0, 0), (3, 0), (0, 3), 9, ANY)
+        assert not collinear_triple((0, 0), (3, 0), (0, 3), 9, UNIT)
+        assert collinear_points([(0, 0), (3, 0), (0, 3), (3, 3)], 9, ANY)
+        assert not collinear_points([(0, 0), (3, 0), (0, 3), (3, 3)], 9, UNIT)
 
-    @pytest.mark.parametrize("n", [3, 4, 6, 9, 12])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12])
     @pytest.mark.parametrize("mode", [ANY, UNIT])
     def test_consistent_with_collinear_triple(self, n, mode):
-        kern = CollinearityKernel(n, mode)
         for d2, d3 in _distinct_diff_pairs(n):
-            assert kern.lookup(d2, d3) == collinear_triple((0, 0), d2, d3, n, mode)
+            want = collinear_set([(0, 0), d2, d3], n, mode)
+            assert collinear_triple((0, 0), d2, d3, n, mode) == want, (n, d2, d3)
 
     def test_translated_queries(self):
-        kern = CollinearityKernel(7)
-        assert kern.collinear((1, 1), (2, 2), (3, 3))
-        assert not kern.collinear((1, 1), (2, 2), (3, 4))
+        assert collinear_triple((1, 1), (2, 2), (3, 3), 7)
+        assert not collinear_triple((1, 1), (2, 2), (3, 4), 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 20), mode=st.sampled_from([ANY, UNIT]), data=st.data())
+def test_closed_form_equals_line_scan(n, mode, data):
+    # 3-, 4- and 5-point sets (at most 4 when n = 2)
+    size = data.draw(st.integers(3, min(5, n * n)))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pts = data.draw(st.lists(cells, min_size=size, max_size=size, unique=True))
+    assert collinear_points(pts, n, mode) == collinear_set(pts, n, mode)

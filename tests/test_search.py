@@ -9,6 +9,7 @@ from modgrid.census import count_quadruples, count_triples, transversal_points
 from modgrid.constructions import g_permutation
 from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus
 from modgrid.geometry import CollinearityMode
+from modgrid.geometry import collinear_triple
 from modgrid.search import (
     SEARCH_BOUND,
     SearchBudget,
@@ -207,6 +208,29 @@ def test_transversal_search_bound():
         psi(SEARCH_BOUND + 3)
     with pytest.raises(BoundExceeded):
         lex_least_with_count(SEARCH_BOUND + 3)
+
+
+@pytest.mark.parametrize("search", [
+    psi, lex_least_with_count, max_triples_quadfree_transversal, ct0_subsets,
+    max_triple_free_subset, psi_brute_force,
+])
+def test_searches_reject_composite_n_above_bound(search):
+    with pytest.raises(BoundExceeded):
+        search(66)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12])
+@pytest.mark.parametrize("mode", [ANY, UNIT])
+def test_composite_masks_match_closed_form(n, mode):
+    # pairs[dx*n + dy] marks the cells (t, f), 1 <= t < n - dx, collinear with
+    # P = (0, 0) and Q = (-dx, -dy); row t - 1 stands for column t
+    engine = _Placement(n, mode)
+    for dx in range(1, n - 1):
+        for dy in range(n):
+            fields = engine.counts(engine.pairs[dx * n + dy])
+            want = [int(t < n - dx and collinear_triple((-dx, -dy), (0, 0), (t, f), n, mode))
+                    for t in range(1, n + 1) for f in range(n)]
+            assert fields == want, (n, mode, dx, dy)
 
 
 def test_psi_checkpoint_mismatch(tmp_path):
