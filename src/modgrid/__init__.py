@@ -27,14 +27,13 @@ from .geometry import (
     line_through,
     pair_slope,
 )
-from .modring import gcd, is_prime, mod_inverse
+from .modring import is_prime, mod_inverse
 from .packing import (
     PackingResult,
     SpreadReport,
     canonical_optimal_partition,
     greedy_packing,
     jensen_lower_bound,
-    parity_rho,
     psi_lower_bound,
     spread_report,
     t_closed_form,

@@ -9,31 +9,11 @@ import math
 
 from .errors import NotInvertible
 
-__all__ = ["gcd", "extended_gcd", "mod_inverse", "is_prime"]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
-
-
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
+__all__ = ["mod_inverse", "is_prime"]
 
 
 def mod_inverse(a: int, n: int) -> int:
-    """Multiplicative inverse of a modulo n, computed by extended Euclid.
+    """Multiplicative inverse of a modulo n.
 
     Works for composite n whenever gcd(a, n) == 1; raises NotInvertible
     otherwise (expected for non-unit residues of composite moduli).
@@ -42,10 +22,12 @@ def mod_inverse(a: int, n: int) -> int:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if not 0 <= a < n:
         raise ValueError(f"residue {a} not reduced mod {n}")
-    g, x, _ = extended_gcd(a, n)
-    if g != 1:
-        raise NotInvertible(f"{a} is not invertible mod {n} (gcd={g})")
-    return x % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise NotInvertible(
+            f"{a} is not invertible mod {n} (gcd={math.gcd(a, n)})"
+        ) from None
 
 
 def is_prime(n: int) -> bool:

@@ -19,7 +19,6 @@ from .modring import is_prime
 __all__ = [
     "tau",
     "trip_cost",
-    "parity_rho",
     "t_closed_form",
     "canonical_optimal_partition",
     "t_exact",
@@ -87,11 +86,6 @@ def trip_cost(parts: Sequence[int]) -> int:
     return sum(_part_cost(m) for m in parts)
 
 
-def parity_rho(t: int) -> int:
-    """t - 2*floor(t/2), i.e. the parity of t."""
-    return t % 2
-
-
 def t_closed_form(K: int, L: int) -> int:
     """T(K, L) = max(ceil((K-L)/2), 0), valid only for K <= 3L."""
     _check_KL(K, L)
@@ -108,7 +102,7 @@ def canonical_optimal_partition(K: int, L: int) -> tuple[int, ...]:
     if K <= L:
         return tuple([1] * K + [0] * (L - K))
     threes = (K - L) // 2
-    twos = parity_rho(K - L)
+    twos = (K - L) % 2
     ones = K - 3 * threes - 2 * twos
     zeros = L - threes - twos - ones
     return tuple([3] * threes + [2] * twos + [1] * ones + [0] * zeros)

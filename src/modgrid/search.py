@@ -10,11 +10,11 @@ A[j*n + w] counts the placed pairs collinear with cell (j, w).  A child
 
     cnt + A[pos*n + v] + sum over j > pos of min over free w of A[j*n + w]
 
-and is pruned when the bound exceeds the best count, or equals it while a
-witness is held.  The bound is admissible: column j eventually takes some
-value w that is free now, and the triples charged to it include at least
-the A[j*n + w] already closed by placed pairs, since counts only grow.
-Taking the minimum over a free set that still contains v only weakens it.
+and is pruned when the bound exceeds a limit.  The bound is admissible:
+column j eventually takes some value w that is free now, and the triples
+charged to it include at least the A[j*n + w] already closed by placed
+pairs, since counts only grow.  Taking the minimum over a free set that
+still contains v only weakens it.
 
 The matrix is updated incrementally.  Placing P adds, for each earlier
 point Q, 1 to every later cell collinear with Q and P: along the line of
@@ -29,9 +29,19 @@ few big-int operations, and each descent builds a new matrix from its
 parent's: backtracking needs no undo.  The tables take about 6n^3 bytes for
 prime n and 2n^4 for composite n, which COMPOSITE_BOUND caps.
 
-Symmetry reduction: sigma(0) = 0 for every n (value translation), plus
-sigma(1) = 1 for prime n (value scaling by a unit).  Both reductions are
-validated against unreduced search in the test suite.
+One walk, _search_branch, runs every transversal search in two modes.
+psi runs it in two phases.  The value phase prunes strictly: its limit is
+one below the best count known, so ties are never explored and a branch
+needs only that count, not a witness or a rule for breaking ties.  For
+prime n the self-inverse construction seeds the best count and its
+witness.  The witness phase (also lex_least_with_count) walks from the
+empty prefix with the limit set to the value, and stops at the first
+completion that has exactly that many triples: the lexicographically least
+one, since completions come in lexicographic order.
+
+Symmetry reduction (value phase only): sigma(0) = 0 for every n (value
+translation), plus sigma(1) = 1 for prime n (value scaling by a unit).
+Both reductions are validated against unreduced search in the test suite.
 """
 from __future__ import annotations
 
@@ -40,7 +50,6 @@ import json
 import math
 import multiprocessing
 import os
-import random
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -59,6 +68,7 @@ from .constructions import inverse_permutation
 from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus
 from .geometry import DEFAULT_MODE, CollinearityMode, Point, collinear_triple
 from .modring import is_prime
+from .packing import psi_lower_bound
 
 __all__ = [
     "SEARCH_BOUND",
@@ -174,7 +184,7 @@ def _check_bound(n: int, bound: int = SEARCH_BOUND) -> None:
 
 def _origin_sets(n: int, mode: CollinearityMode) -> list[list[Point]]:
     """Point sets through the origin such that 0, e and r are collinear (per
-    mode) iff one set holds both e and r (composite n).
+    mode) iff one set holds both e and r.
 
     UNIT_LINE: the unit lines through 0, the cyclic subgroups {t*u} of
     primitive u, psi(n) of them.  ANY_LINE: 0, e, r are collinear iff
@@ -298,18 +308,19 @@ class _Placement:
 def _search_branch(
     engine: _Placement,
     prefix: Sequence[int],
-    best: float,
-    held: Optional[list[int]],
+    limit: float,
     budget: _NodeBudget,
-) -> tuple[float, Optional[list[int]], int, int, bool]:
-    """Explore all completions of ``prefix`` in lexicographic value order.
+    witness_mode: bool = False,
+) -> tuple[Optional[int], Optional[list[int]], int, int, bool]:
+    """Walk the completions of ``prefix`` in lexicographic value order,
+    pruning every child whose look-ahead bound exceeds ``limit``.
 
-    ``held`` is the witness of ``best`` found elsewhere, if any.  Returns
-    (best, witness, nodes, pruned, aborted); ``witness`` is None unless a
-    completion beats ``best``, or ties it while ``held`` is None or may be
-    lex-greater than some completion of ``prefix``.  Because extension order
-    is lexicographic, the returned witness is the lex-least optimum within
-    the branch; the caller keeps the lex-smaller of it and ``held``.
+    Value mode: each completion lowers ``limit`` to its count - 1, so the
+    last completion taken is an optimum of the branch, if any completion has
+    at most ``limit`` triples.  Witness mode: the walk stops at the first
+    completion with exactly ``limit`` triples, the lex-least one.  Returns
+    (count, witness, nodes, pruned, aborted), with count and witness None
+    when no completion was taken.
     """
     n = engine.n
     nn = n * n
@@ -317,19 +328,20 @@ def _search_branch(
     A0, sigma, count = engine.root(prefix)
     start_pos = len(prefix)
     nodes = granted = pruned = 0
-    best_local = best
+    value: Optional[int] = None
     witness: Optional[list[int]] = None
-    # ties are useless once a witness lex-smaller than every completion is held
-    blocked = held is not None and held[:start_pos] < list(prefix)
 
-    def finish(cnt: int) -> None:
-        nonlocal best_local, witness, blocked
-        if cnt < best_local or (cnt == best_local and not blocked):
-            best_local = cnt
-            witness = sigma.copy()
-            blocked = True
+    def finish(cnt: int) -> bool:
+        """Take the completion sigma if it counts; True ends the walk."""
+        nonlocal limit, value, witness
+        if witness_mode and cnt != limit:
+            return False
+        value, witness = cnt, sigma.copy()
+        if not witness_mode:
+            limit = cnt - 1
+        return witness_mode
 
-    def rec(pos: int, cnt: int, A: int) -> None:
+    def rec(pos: int, cnt: int, A: int) -> bool:
         nonlocal nodes, granted, pruned
         vals = counts(A)
         row = pos * n
@@ -345,23 +357,24 @@ def _search_branch(
                     nodes -= 1
                     raise _BudgetExhausted
                 granted += grant
-            bound = base + a
-            if bound > best_local or (bound == best_local and blocked):
+            if base + a > limit:
                 pruned += 1
                 continue
             if pos + 1 == n:
                 sigma.append(v)
-                finish(bound)
+                done = finish(base + a)
             else:
                 child = place(A, sigma, v)
                 sigma.append(v)
-                rec(pos + 1, cnt + a, child)
+                done = rec(pos + 1, cnt + a, child)
+            if done:
+                return True
             sigma.pop()
+        return False
 
     aborted = False
     # a prefix already past the bound is a single pruned node
-    bound0 = count + engine.rest(counts(A0), start_pos)
-    if bound0 > best_local or (bound0 == best_local and blocked and start_pos < n):
+    if count + engine.rest(counts(A0), start_pos) > limit:
         pruned += 1
     elif start_pos == n:
         finish(count)
@@ -372,23 +385,22 @@ def _search_branch(
             aborted = True
         finally:
             budget.give_back(granted - nodes)
-    return best_local, witness, nodes, pruned, aborted
+    return value, witness, nodes, pruned, aborted
 
 
-#: the engine and the shared node count of a pool worker's psi call, set
-#: once per worker by _init_pool
+#: the engine and the node budget of a pool worker's psi call, set once per
+#: worker by _init_pool
 _pool_engine: Optional[_Placement] = None
-_pool_nodes = None
+_pool_budget: Optional[_NodeBudget] = None
 
 
-def _init_pool(engine: _Placement, nodes_left) -> None:
-    global _pool_engine, _pool_nodes
-    _pool_engine, _pool_nodes = engine, nodes_left
+def _init_pool(engine: _Placement, budget: _NodeBudget) -> None:
+    global _pool_engine, _pool_budget
+    _pool_engine, _pool_budget = engine, budget
 
 
-def _pool_branch(prefix, best, held, deadline):
-    budget = _NodeBudget(None, deadline, shared=_pool_nodes)
-    return _search_branch(_pool_engine, prefix, best, held, budget)
+def _pool_branch(prefix, limit):
+    return _search_branch(_pool_engine, prefix, limit, _pool_budget)
 
 
 def _psi_prefixes(n: int, reduction: str) -> list[tuple[int, ...]]:
@@ -448,11 +460,14 @@ def psi(
 ) -> SearchOutcome:
     """Minimum collinear-triple count over all transversals of Z_n.
 
-    Exhaustive branch-and-bound over the symmetry-reduced prefixes; the
-    witness is the lexicographically least optimal transversal, for any
-    number of workers.  Budget exhaustion yields exact = False with the best
-    value found so far (an upper bound); the checkpoint then keeps every
-    prefix not yet finished, so a resumed run gives the uninterrupted result.
+    Two phases on one node budget and deadline.  The value phase is a
+    strict branch-and-bound over the symmetry-reduced prefixes, serial or
+    pooled; the witness phase then walks from the empty prefix to the
+    lexicographically least transversal with that many triples.  Budget
+    exhaustion in either phase yields exact = False with the best value
+    found so far (an upper bound) and its witness; the checkpoint then
+    keeps every prefix not yet finished (none once the value phase is
+    done), so a resumed run gives the uninterrupted result.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -467,24 +482,21 @@ def psi(
 
     best: float = math.inf
     witness: Optional[list[int]] = None
-    fallback_witness: Optional[list[int]] = None
     if is_prime(n):
-        # seed bound from the self-inverse construction; keep it witness-less
-        # so tying optima are still explored for the lex-least witness
-        fallback_witness = inverse_permutation(n)
-        best = count_triples(transversal_points(fallback_witness), n, mode)
+        # the self-inverse construction seeds the value phase
+        witness = inverse_permutation(n)
+        best = count_triples(transversal_points(witness), n, mode)
 
     if checkpoint and os.path.exists(checkpoint):
         data = _load_checkpoint(checkpoint, n, mode, red)
-        if data["best"] is not None and data["best"] < best:
-            best = data["best"]
-        if data["witness"] is not None:
-            witness = list(data["witness"])
-            best = min(best, data["best"])
+        # a null witness stands for no completion yet, or the prime seed
+        if data["witness"] is not None and data["best"] < best:
+            best, witness = data["best"], list(data["witness"])
         prefixes = [tuple(p) for p in data["remaining"]]
 
     deadline = start + budget.max_time if budget.max_time is not None else None
     engine = _Placement(n, mode)
+    nodes_left = _NodeBudget(budget.max_nodes, deadline)
     nodes_total = 0
     pruned_total = 0
     aborted = False
@@ -497,7 +509,7 @@ def psi(
         b, w, nodes, pruned, ab = result
         nodes_total += nodes
         pruned_total += pruned
-        if w is not None and (b < best or (b == best and (witness is None or w < witness))):
+        if w is not None and b < best:
             best, witness = b, w
         if ab:
             aborted = True
@@ -507,11 +519,10 @@ def psi(
             _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
 
     if budget.workers > 1 and len(prefixes) > 1:
-        shared = None
         if budget.max_nodes is not None:
-            shared = multiprocessing.Value("q", budget.max_nodes)
+            nodes_left.shared = multiprocessing.Value("q", budget.max_nodes)
         with ProcessPoolExecutor(
-            max_workers=budget.workers, initializer=_init_pool, initargs=(engine, shared)
+            max_workers=budget.workers, initializer=_init_pool, initargs=(engine, nodes_left)
         ) as pool:
             # at most one branch per worker in flight, so each new branch
             # starts from the best value known when it is submitted
@@ -521,8 +532,7 @@ def psi(
             def submit() -> None:
                 p = next(todo, None)
                 if p is not None and not aborted:
-                    fut = pool.submit(_pool_branch, p, best, witness, deadline)
-                    running[fut] = p
+                    running[pool.submit(_pool_branch, p, best - 1)] = p
 
             for _ in range(budget.workers):
                 submit()
@@ -532,14 +542,16 @@ def psi(
                     merge(running.pop(fut), fut.result())
                     submit()
     else:
-        nodes_left = _NodeBudget(budget.max_nodes, deadline)
         for p in prefixes:
-            merge(p, _search_branch(engine, p, best, witness, nodes_left))
+            merge(p, _search_branch(engine, p, best - 1, nodes_left))
             if aborted:
                 break
 
-    if witness is None:
-        witness = fallback_witness
+    if not aborted:
+        _, w, nodes, pruned, aborted = _search_branch(engine, (), best, nodes_left, True)
+        nodes_total += nodes
+        pruned_total += pruned
+        witness = w or witness
     exact = not aborted
     elapsed = time.perf_counter() - start
     note = "" if exact else "upper bound: search budget exhausted"
@@ -583,10 +595,9 @@ def lex_least_with_count(
 ) -> SearchOutcome:
     """Lexicographically least transversal with exactly ``target`` triples.
 
-    Depth-first in lexicographic value order, pruning on the look-ahead
-    bound of the module docstring; the first completed permutation hitting
-    the target is returned.  If no permutation attains the target the
-    outcome carries found = False.
+    The witness-mode walk of ``_search_branch`` from the empty prefix: the
+    first completed permutation hitting the target is returned.  If no
+    permutation attains the target the outcome carries found = False.
     """
     _check_bound(n)
     if not is_prime(n) or n <= 2:
@@ -596,51 +607,9 @@ def lex_least_with_count(
     budget = budget or SearchBudget()
     start = time.perf_counter()
     deadline = start + budget.max_time if budget.max_time is not None else None
-
-    engine = _Placement(n, mode)
-    nn = n * n
-    place, counts, used_at = engine.place, engine.counts, engine.used
-    nodes_left = _NodeBudget(budget.max_nodes, deadline)
-    sigma: list[int] = []
-    nodes = granted = pruned = 0
-    result: Optional[list[int]] = None
-
-    def rec(pos: int, cnt: int, A: int) -> bool:
-        nonlocal nodes, granted, pruned, result
-        if pos == n:
-            if cnt == target:
-                result = sigma.copy()
-                return True
-            return False
-        vals = counts(A)
-        row = pos * n
-        base = cnt + sum([min(vals[b:b + n]) for b in range(row + n, nn, n)])
-        for v in range(n):
-            a = vals[row + v]
-            if a >= used_at:
-                continue
-            nodes += 1
-            if nodes > granted:
-                grant = nodes_left.take()
-                if not grant:
-                    nodes -= 1
-                    raise _BudgetExhausted
-                granted += grant
-            if base + a > target:
-                pruned += 1
-                continue
-            child = place(A, sigma, v)
-            sigma.append(v)
-            if rec(pos + 1, cnt + a, child):
-                return True
-            sigma.pop()
-        return False
-
-    aborted = False
-    try:
-        rec(0, 0, 0)
-    except _BudgetExhausted:
-        aborted = True
+    _, result, nodes, pruned, aborted = _search_branch(
+        _Placement(n, mode), (), target, _NodeBudget(budget.max_nodes, deadline), True
+    )
     elapsed = time.perf_counter() - start
     if result is not None:
         check = count_triples(transversal_points(result), n, mode)
@@ -732,28 +701,27 @@ def max_triples_quadfree_transversal(
 # ---------------------------------------------------------------------------
 
 
-def _distinct_line_masks(n: int, mode: CollinearityMode, min_points: int) -> list[int]:
-    """Bitmask (over point id x*n + y) of every distinct mode-valid line
-    point set with at least ``min_points`` points."""
-    seen: set[int] = set()
-    a_b = (
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if (a or b) and (mode == CollinearityMode.ANY_LINE or math.gcd(math.gcd(a, b), n) == 1)
-    )
-    for a, b in a_b:
-        for c in range(n):
-            mask = 0
-            size = 0
-            for x in range(n):
-                for y in range(n):
-                    if (a * x + b * y - c) % n == 0:
-                        mask |= 1 << (x * n + y)
-                        size += 1
-            if size >= min_points:
-                seen.add(mask)
-    return sorted(seen)
+def _quad_line_masks(n: int, mode: CollinearityMode) -> list[int]:
+    """Bitmasks (over point id x*n + y) of the cosets with at least 4 points
+    of the origin sets (see _origin_sets), which are subgroups of the grid.
+
+    Points are collinear (per mode) iff one coset holds them all; under
+    ANY_LINE a coset can hold smaller lines, which it makes redundant.
+    """
+    masks: set[int] = set()
+    for cells in _origin_sets(n, mode):
+        if len(cells) < 4:
+            continue
+        covered = bytearray(n * n)
+        for tx in range(n):
+            for ty in range(n):
+                if covered[tx * n + ty]:
+                    continue
+                ids = [(x + tx) % n * n + (y + ty) % n for x, y in cells]
+                for i in ids:
+                    covered[i] = 1
+                masks.add(sum(1 << i for i in ids))
+    return list(masks)
 
 
 def _grid_triple_masks(n: int, mode: CollinearityMode) -> list[int]:
@@ -804,8 +772,7 @@ def ct0_subsets(
     if n == 1:
         return SearchOutcome(0, [(0, 0)], True, elapsed=time.perf_counter() - start)
     deadline = start + budget.max_time if budget.max_time is not None else None
-    quad_lines = _distinct_line_masks(n, mode, 4)
-    triple_masks = _grid_triple_masks(n, mode)
+    quad_lines = _quad_line_masks(n, mode)
     nodes = 0
     aborted = False
 
@@ -828,6 +795,7 @@ def ct0_subsets(
                              time.perf_counter() - start, note=note)
 
     if n <= exact_threshold:
+        triple_masks = _grid_triple_masks(n, mode)
         best = 0
         best_mask = 0
         for mask in range(1 << (n * n)):
@@ -928,25 +896,14 @@ def max_triple_free_subset(
     return SearchOutcome(best, witness, not aborted, nodes, pruned, elapsed, note=note)
 
 
-def verify_theorem1(
-    n: int,
-    budget: Optional[SearchBudget] = None,
-    samples: int = 200,
-    seed: int = 1,
-) -> bool:
+def verify_theorem1(n: int, budget: Optional[SearchBudget] = None) -> bool:
     """Every transversal of a prime grid has a collinear triple.
 
-    Exhaustive (via psi) for n <= 11; random transversal sampling beyond,
-    which can only report the absence of counterexamples.
+    Exhaustive (via psi) for n <= 11; beyond, the proved lower bound
+    psi(p) >= ceil((p-1)/4) >= 1 (``psi_lower_bound``).
     """
     if not is_prime(n) or n <= 2:
         raise NonPrimeModulus(f"verify_theorem1 requires an odd prime, got {n}")
     if n <= 11:
         return psi(n, budget=budget).value >= 1
-    rng = random.Random(seed)
-    base = list(range(n))
-    for _ in range(samples):
-        rng.shuffle(base)
-        if count_triples(transversal_points(base), n) == 0:
-            return False
-    return True
+    return psi_lower_bound(n) >= 1

@@ -10,7 +10,6 @@ from modgrid.packing import (
     canonical_optimal_partition,
     greedy_packing,
     jensen_lower_bound,
-    parity_rho,
     psi_lower_bound,
     spread_report,
     t_closed_form,
@@ -47,10 +46,6 @@ def test_trip_cost_examples():
     assert trip_cost([3]) == 1
     with pytest.raises(DegenerateInput):
         trip_cost([2, -1])
-
-
-def test_parity_rho():
-    assert [parity_rho(t) for t in range(5)] == [0, 1, 0, 1, 0]
 
 
 def test_closed_form_examples():

@@ -9,11 +9,13 @@ from modgrid.census import count_quadruples, count_triples, transversal_points
 from modgrid.constructions import g_permutation
 from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus
 from modgrid.geometry import CollinearityMode
-from modgrid.geometry import collinear_triple
+from modgrid.geometry import collinear_set, collinear_triple
+from modgrid import search
 from modgrid.search import (
     SEARCH_BOUND,
     SearchBudget,
     _Placement,
+    _quad_line_masks,
     ct0_subsets,
     lex_least_with_count,
     max_triple_free_subset,
@@ -199,6 +201,19 @@ def test_resume_holding_a_lex_greater_witness_finds_the_lex_least(tmp_path):
         assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, w)
 
 
+def test_resume_from_a_checkpoint_holding_the_prime_seed(tmp_path):
+    # a null witness with a best value stands for the prime seed
+    ref = psi(11)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({
+        "version": 1, "n": 11, "mode": "unit", "reduction": "full",
+        "best": ref.value, "witness": None,
+        "remaining": [[0, 1, v] for v in range(2, 11)],
+    }))
+    resumed = psi(11, checkpoint=str(path))
+    assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
+
+
 def test_transversal_search_bound():
     # the largest prime under the bound builds its tables and runs budgeted
     out = psi(127, budget=SearchBudget(max_nodes=2000))
@@ -231,6 +246,24 @@ def test_composite_masks_match_closed_form(n, mode):
             want = [int(t < n - dx and collinear_triple((-dx, -dy), (0, 0), (t, f), n, mode))
                     for t in range(1, n + 1) for f in range(n)]
             assert fields == want, (n, mode, dx, dy)
+
+
+@pytest.mark.parametrize("n", [7, 9, 10])
+def test_resume_after_witness_phase_abort(tmp_path, n):
+    ref = psi(n)
+    path = str(tmp_path / "ckpt.json")
+    # one node short: the value phase finishes, the witness phase does not
+    partial = psi(n, budget=SearchBudget(max_nodes=ref.nodes_explored - 1), checkpoint=path)
+    assert (partial.value, partial.exact) == (ref.value, False)
+    assert count_triples(transversal_points(partial.witness), n) == partial.value
+    with open(path) as fh:
+        assert json.load(fh)["remaining"] == []
+    resumed = psi(n, checkpoint=path)
+    assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
+    # the resume reruns the witness phase only
+    assert resumed.nodes_explored < ref.nodes_explored
+    if n == 7:
+        assert resumed.nodes_explored == lex_least_with_count(7, ref.value).nodes_explored
 
 
 def test_psi_checkpoint_mismatch(tmp_path):
@@ -292,6 +325,31 @@ def test_ct0_beam_is_inexact_lower_bound():
     assert count_quadruples(out.witness, 5) == 0
 
 
+def test_ct0_beam_builds_no_triple_masks(monkeypatch):
+    def fail(n, mode):
+        raise AssertionError("the beam needs no triple masks")
+
+    monkeypatch.setattr(search, "_grid_triple_masks", fail)
+    out = ct0_subsets(10, budget=SearchBudget(max_nodes=1))
+    assert not out.exact and out.nodes_explored == 1
+
+
+@st.composite
+def _four_points(draw):
+    n = draw(st.integers(2, 8))
+    ids = draw(st.lists(st.integers(0, n * n - 1), min_size=4, max_size=4, unique=True))
+    return n, [divmod(i, n) for i in ids]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_four_points(), mode=st.sampled_from([UNIT, ANY]))
+def test_quad_line_masks_hold_exactly_the_collinear_quadruples(case, mode):
+    n, pts = case
+    mask = sum(1 << (x * n + y) for x, y in pts)
+    on_line = any(mask & lm == mask for lm in _quad_line_masks(n, mode))
+    assert on_line == collinear_set(pts, n, mode)
+
+
 def test_ct0_honours_budget():
     full = ct0_subsets(4)
     out = ct0_subsets(4, budget=SearchBudget(max_nodes=1000))
@@ -320,6 +378,6 @@ def test_max_triple_free_subset():
 def test_verify_theorem1():
     for p in (3, 5, 7, 11):
         assert verify_theorem1(p)
-    assert verify_theorem1(13, samples=30)
+    assert verify_theorem1(13)
     with pytest.raises(NonPrimeModulus):
         verify_theorem1(9)
