@@ -125,7 +125,10 @@ def _min_cost(k: int, l: int) -> int:
     # parts <= 1 are free; once k <= l the answer is 0
     if k <= l:
         return 0
-    return min(_part_cost(m) + _min_cost(k - m, l - 1) for m in range(k + 1))
+    # a part costs C(tau(m), 3), and the remainder never costs more for
+    # fewer pairs, so each line size s takes as many pairs as it spans
+    return min(comb(s, 3) + _min_cost(k - min(comb(s, 2), k), l - 1)
+               for s in range(tau(k) + 1))
 
 
 def t_exact(K: int, L: int, optima_cap: int = DEFAULT_OPTIMA_CAP) -> PackingResult:

@@ -65,7 +65,7 @@ from .census import (
     transversal_points,
 )
 from .constructions import inverse_permutation
-from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus
+from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from .geometry import DEFAULT_MODE, CollinearityMode, Point, collinear_triple
 from .modring import is_prime
 from .packing import psi_lower_bound
@@ -73,6 +73,7 @@ from .packing import psi_lower_bound
 __all__ = [
     "SEARCH_BOUND",
     "COMPOSITE_BOUND",
+    "BRUTE_FORCE_BOUND",
     "SearchBudget",
     "SearchOutcome",
     "psi",
@@ -93,8 +94,10 @@ class SearchBudget:
     with exact = False rather than an error.
 
     ``max_nodes`` caps the nodes of the whole search, summed over all
-    branches and all workers; ``max_time`` is wall-clock seconds from the
-    start of the call.
+    branches and all workers: a search that runs out reports exactly
+    ``max_nodes`` nodes explored (a pool can stop a little below).
+    ``max_time`` is wall-clock seconds from the start of the call.
+    ``workers`` is used by psi only; every other search runs serially.
     """
 
     max_nodes: Optional[int] = None
@@ -128,20 +131,31 @@ _GRANT = 4096
 
 
 class _NodeBudget:
-    """The nodes and time left to one search, handed out in slices.
+    """The nodes and time left to one search: the only reader of
+    ``max_nodes`` and ``max_time``.
 
-    ``shared`` is a lock-protected ``multiprocessing.Value`` holding the
-    nodes left when pool workers draw on one budget; otherwise the count
-    lives in ``left`` (None for no node limit).
+    The node count lives in ``left`` (None for no node limit), or, after
+    ``share``, in a lock-protected ``multiprocessing.Value`` that pool
+    workers draw on.  ``take`` hands out slices of nodes for psi's hot
+    loop; ``charge`` takes one node for every other search.
     """
 
-    def __init__(self, left: Optional[int], deadline: Optional[float], shared=None):
-        self.left = left
-        self.deadline = deadline
-        self.shared = shared
+    def __init__(self, budget: Optional[SearchBudget], start: float):
+        budget = budget or SearchBudget()
+        self.left = budget.max_nodes
+        self.deadline = None if budget.max_time is None else start + budget.max_time
+        self.shared = None
+
+    def share(self) -> None:
+        """Move the node count to shared memory, for a pool to draw on."""
+        if self.left is not None:
+            self.shared = multiprocessing.Value("q", self.left)
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.perf_counter() > self.deadline
 
     def take(self) -> int:
-        if self.deadline is not None and time.perf_counter() > self.deadline:
+        if self.expired():
             return 0
         if self.shared is not None:
             with self.shared.get_lock():
@@ -161,6 +175,14 @@ class _NodeBudget:
         elif self.left is not None:
             self.left += unused
 
+    def charge(self) -> None:
+        """Take one node, checking the deadline; raise _BudgetExhausted when
+        no node or no time is left."""
+        if self.left == 0 or self.expired():
+            raise _BudgetExhausted
+        if self.left is not None:
+            self.left -= 1
+
 
 #: largest n the transversal searches accept: the cost-matrix fields are 16
 #: bits, and every pair count C(n-1, 2) must stay below the used mark 2**14
@@ -171,12 +193,19 @@ SEARCH_BOUND = 128
 #: n^2 points, accept no n above it either
 COMPOSITE_BOUND = 64
 
+#: largest n psi_brute_force accepts: it enumerates all n! transversals
+#: without a budget (n = 9 takes about 35 s)
+BRUTE_FORCE_BOUND = 9
+
 _FIELD = 16
 
 
-def _check_bound(n: int, bound: int = SEARCH_BOUND) -> None:
-    """Raise BoundExceeded for n above ``bound``, or composite n above
+def _check_bound(n: int, bound: int = SEARCH_BOUND, least: int = 1) -> None:
+    """The entry check of every search: raise OutOfRange for n below
+    ``least``, and BoundExceeded for n above ``bound`` or composite n above
     COMPOSITE_BOUND."""
+    if n < least:
+        raise OutOfRange(f"n must be >= {least}, got {n}")
     if n > bound or (n > COMPOSITE_BOUND and not is_prime(n)):
         raise BoundExceeded(f"search for n={n} exceeds bound "
                             f"{bound if n > bound else COMPOSITE_BOUND}")
@@ -228,7 +257,6 @@ class _Placement:
     """
 
     def __init__(self, n: int, mode: CollinearityMode):
-        _check_bound(n)
         self.n = n
         nn = n * n
         self.nbytes = nn * _FIELD // 8
@@ -469,8 +497,7 @@ def psi(
     keeps every prefix not yet finished (none once the value phase is
     done), so a resumed run gives the uninterrupted result.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_bound(n)
     budget = budget or SearchBudget()
     start = time.perf_counter()
     if n <= 2:
@@ -494,9 +521,8 @@ def psi(
             best, witness = data["best"], list(data["witness"])
         prefixes = [tuple(p) for p in data["remaining"]]
 
-    deadline = start + budget.max_time if budget.max_time is not None else None
     engine = _Placement(n, mode)
-    nodes_left = _NodeBudget(budget.max_nodes, deadline)
+    nodes_left = _NodeBudget(budget, start)
     nodes_total = 0
     pruned_total = 0
     aborted = False
@@ -519,8 +545,7 @@ def psi(
             _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
 
     if budget.workers > 1 and len(prefixes) > 1:
-        if budget.max_nodes is not None:
-            nodes_left.shared = multiprocessing.Value("q", budget.max_nodes)
+        nodes_left.share()
         with ProcessPoolExecutor(
             max_workers=budget.workers, initializer=_init_pool, initargs=(engine, nodes_left)
         ) as pool:
@@ -569,8 +594,8 @@ def psi(
 
 
 def psi_brute_force(n: int, mode: CollinearityMode = DEFAULT_MODE) -> SearchOutcome:
-    """Plain enumeration of all n! transversals (oracle for small n)."""
-    _check_bound(n, COMPOSITE_BOUND)
+    """Plain enumeration of all n! transversals (oracle for n <= 9)."""
+    _check_bound(n, BRUTE_FORCE_BOUND)
     start = time.perf_counter()
     if n <= 2:
         return SearchOutcome(0, list(range(n)), True, elapsed=time.perf_counter() - start)
@@ -604,11 +629,9 @@ def lex_least_with_count(
         raise NonPrimeModulus(f"lex_least_with_count requires an odd prime, got {n}")
     if target is None:
         target = (n - 1) // 2
-    budget = budget or SearchBudget()
     start = time.perf_counter()
-    deadline = start + budget.max_time if budget.max_time is not None else None
     _, result, nodes, pruned, aborted = _search_branch(
-        _Placement(n, mode), (), target, _NodeBudget(budget.max_nodes, deadline), True
+        _Placement(n, mode), (), target, _NodeBudget(budget, start), True
     )
     elapsed = time.perf_counter() - start
     if result is not None:
@@ -631,14 +654,11 @@ def max_triples_quadfree_transversal(
     DFS with sigma(0) = 0 symmetry reduction, pruning any branch that
     already contains a quadruple.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _check_bound(n)
-    budget = budget or SearchBudget()
     start = time.perf_counter()
     if n <= 2:
         return SearchOutcome(0, list(range(n)), True, elapsed=time.perf_counter() - start)
-    deadline = start + budget.max_time if budget.max_time is not None else None
+    nodes_left = _NodeBudget(budget, start)
     sigma = [0]
     used = [False] * n
     used[0] = True
@@ -663,11 +683,8 @@ def max_triples_quadfree_transversal(
         for v in range(n):
             if used[v]:
                 continue
+            nodes_left.charge()
             nodes += 1
-            if budget.max_nodes is not None and nodes > budget.max_nodes:
-                raise _BudgetExhausted
-            if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
-                raise _BudgetExhausted
             add = place_stats(pos, v)
             if add is None:
                 pruned += 1
@@ -750,96 +767,81 @@ def _mask_points(mask: int, n: int) -> list[Point]:
     return [(i // n, i % n) for i in range(n * n) if mask >> i & 1]
 
 
+#: ct0_subsets enumerates every subset for n up to _CT0_EXACT_MAX, and
+#: runs a beam of width _CT0_BEAM_WIDTH beyond
+_CT0_EXACT_MAX = 4
+_CT0_BEAM_WIDTH = 16
+
+
 def ct0_subsets(
     n: int,
     mode: CollinearityMode = DEFAULT_MODE,
     budget: Optional[SearchBudget] = None,
-    exact_threshold: int = 4,
-    beam_width: int = 16,
 ) -> SearchOutcome:
     """Max triple count over quadruple-free subsets of the full grid.
 
-    Exact enumeration for n <= exact_threshold; a beam-search heuristic
-    (exact = False, value is a lower bound) beyond that.  Both stop once
-    ``budget.max_nodes`` subsets were examined or ``budget.max_time`` seconds
-    passed, and then return the best subset so far with exact = False.
+    Exact enumeration for n <= 4; a beam-search heuristic of width 16
+    (exact = False, value is a lower bound) beyond that.  Both charge one
+    node per subset examined; when the budget runs out they return the best
+    subset so far with exact = False.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _check_bound(n, COMPOSITE_BOUND)
-    budget = budget or SearchBudget()
     start = time.perf_counter()
     if n == 1:
         return SearchOutcome(0, [(0, 0)], True, elapsed=time.perf_counter() - start)
-    deadline = start + budget.max_time if budget.max_time is not None else None
+    nodes_left = _NodeBudget(budget, start)
     quad_lines = _quad_line_masks(n, mode)
     nodes = 0
-    aborted = False
+    best, best_mask = 0, 0
+    exact = n <= _CT0_EXACT_MAX
+    note = "" if exact else "lower bound: heuristic beam search"
 
     def quadfree(mask: int) -> bool:
         return all((mask & lm).bit_count() <= 3 for lm in quad_lines)
 
-    def spent() -> bool:
-        return (budget.max_nodes is not None and nodes >= budget.max_nodes) or (
-            deadline is not None and time.perf_counter() > deadline
-        )
-
-    def outcome(best: int, best_mask: int, exact: bool, note: str) -> SearchOutcome:
-        witness = _mask_points(best_mask, n)
-        check = count_triples(witness, n, mode) if witness else 0
-        if check != best:
-            raise AssertionError("ct0 witness failed recount")
-        if aborted:
-            exact, note = False, "lower bound: search budget exhausted"
-        return SearchOutcome(best, witness, exact, nodes, 0,
-                             time.perf_counter() - start, note=note)
-
-    if n <= exact_threshold:
-        triple_masks = _grid_triple_masks(n, mode)
-        best = 0
-        best_mask = 0
-        for mask in range(1 << (n * n)):
-            if spent():
-                aborted = True
-                break
-            nodes += 1
-            if not quadfree(mask):
-                continue
-            t = sum(1 for tm in triple_masks if mask & tm == tm)
-            if t > best:
-                best, best_mask = t, mask
-        return outcome(best, best_mask, True, "")
-
-    # beam search: grow quadruple-free subsets greedily by triple count
-    beam: list[tuple[int, int]] = [(0, 0)]  # (triples, mask)
-    best, best_mask = 0, 0
-    all_ids = range(n * n)
-    while beam and not aborted:
-        candidates: dict[int, int] = {}
-        for t, mask in beam:
-            pts = _mask_points(mask, n)
-            for pid in all_ids:
-                bit = 1 << pid
-                if mask & bit:
-                    continue
-                new_mask = mask | bit
-                if new_mask in candidates or not quadfree(new_mask):
-                    continue
-                if spent():
-                    aborted = True
-                    break
+    try:
+        if exact:
+            triple_masks = _grid_triple_masks(n, mode)
+            for mask in range(1 << (n * n)):
+                nodes_left.charge()
                 nodes += 1
-                p = (pid // n, pid % n)
-                candidates[new_mask] = t + sum(1 for _ in _pairs_collinear_with(p, pts, n, mode))
-            if aborted:
-                break
-        if not candidates:
-            break
-        ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-        beam = [(t, m) for m, t in ranked[:beam_width]]
-        if beam[0][0] > best:
-            best, best_mask = beam[0]
-    return outcome(best, best_mask, False, "lower bound: heuristic beam search")
+                if not quadfree(mask):
+                    continue
+                t = sum(1 for tm in triple_masks if mask & tm == tm)
+                if t > best:
+                    best, best_mask = t, mask
+        else:
+            # beam search: grow quadruple-free subsets greedily by triple count
+            beam: list[tuple[int, int]] = [(0, 0)]  # (triples, mask)
+            while beam:
+                candidates: dict[int, int] = {}
+                for t, mask in beam:
+                    pts = _mask_points(mask, n)
+                    for pid in range(n * n):
+                        bit = 1 << pid
+                        if mask & bit:
+                            continue
+                        new_mask = mask | bit
+                        if new_mask in candidates or not quadfree(new_mask):
+                            continue
+                        nodes_left.charge()
+                        nodes += 1
+                        p = (pid // n, pid % n)
+                        candidates[new_mask] = t + sum(
+                            1 for _ in _pairs_collinear_with(p, pts, n, mode))
+                if not candidates:
+                    break
+                ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
+                beam = [(t, m) for m, t in ranked[:_CT0_BEAM_WIDTH]]
+                if beam[0][0] > best:
+                    best, best_mask = beam[0]
+    except _BudgetExhausted:
+        exact, note = False, "lower bound: search budget exhausted"
+    witness = _mask_points(best_mask, n)
+    if (count_triples(witness, n, mode) if witness else 0) != best:
+        raise AssertionError("ct0 witness failed recount")
+    return SearchOutcome(best, witness, exact, nodes, 0, time.perf_counter() - start,
+                         note=note)
 
 
 def max_triple_free_subset(
@@ -848,12 +850,9 @@ def max_triple_free_subset(
     budget: Optional[SearchBudget] = None,
 ) -> SearchOutcome:
     """Maximum-size subset of the grid with no collinear triple (exact DFS)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    _check_bound(n, COMPOSITE_BOUND)
-    budget = budget or SearchBudget()
+    _check_bound(n, COMPOSITE_BOUND, least=2)
     start = time.perf_counter()
-    deadline = start + budget.max_time if budget.max_time is not None else None
+    nodes_left = _NodeBudget(budget, start)
     pts = [(x, y) for x in range(n) for y in range(n)]
     total = len(pts)
     chosen: list[Point] = []
@@ -871,11 +870,8 @@ def max_triple_free_subset(
             if len(chosen) + (total - i) <= best:
                 pruned += 1
                 return
+            nodes_left.charge()
             nodes += 1
-            if budget.max_nodes is not None and nodes > budget.max_nodes:
-                raise _BudgetExhausted
-            if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
-                raise _BudgetExhausted
             p = pts[i]
             if any(_pairs_collinear_with(p, chosen, n, mode)):
                 pruned += 1
@@ -896,7 +892,7 @@ def max_triple_free_subset(
     return SearchOutcome(best, witness, not aborted, nodes, pruned, elapsed, note=note)
 
 
-def verify_theorem1(n: int, budget: Optional[SearchBudget] = None) -> bool:
+def verify_theorem1(n: int) -> bool:
     """Every transversal of a prime grid has a collinear triple.
 
     Exhaustive (via psi) for n <= 11; beyond, the proved lower bound
@@ -905,5 +901,5 @@ def verify_theorem1(n: int, budget: Optional[SearchBudget] = None) -> bool:
     if not is_prime(n) or n <= 2:
         raise NonPrimeModulus(f"verify_theorem1 requires an odd prime, got {n}")
     if n <= 11:
-        return psi(n, budget=budget).value >= 1
+        return psi(n).value >= 1
     return psi_lower_bound(n) >= 1

@@ -77,6 +77,12 @@ def test_psi_budget_exit_code(capsys):
     assert "upper bound" in err
 
 
+def test_psi_rejects_n_below_one(capsys):
+    code, out, err = run_cli(capsys, "psi", "--n", "0")
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err
+
+
 def test_psi_checkpoint_resume(capsys, tmp_path):
     ckpt = str(tmp_path / "ckpt.json")
     code, _, _ = run_json(capsys, "psi", "--n", "9",

@@ -136,8 +136,8 @@ def _brute_force_t(K, L):
 
 
 def test_t_exact_against_small_brute_force():
-    for L in range(1, 5):
-        for K in range(0, 35):
+    for L in range(1, 7):
+        for K in range(0, 60):
             assert t_exact(K, L).value == _brute_force_t(K, L), (K, L)
 
 

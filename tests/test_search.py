@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from modgrid.census import count_quadruples, count_triples, transversal_points
 from modgrid.constructions import g_permutation
-from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus
+from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from modgrid.geometry import CollinearityMode
 from modgrid.geometry import collinear_set, collinear_triple
 from modgrid import search
 from modgrid.search import (
+    BRUTE_FORCE_BOUND,
     SEARCH_BOUND,
     SearchBudget,
     _Placement,
@@ -225,13 +226,46 @@ def test_transversal_search_bound():
         lex_least_with_count(SEARCH_BOUND + 3)
 
 
-@pytest.mark.parametrize("search", [
+SEARCHES = [
     psi, lex_least_with_count, max_triples_quadfree_transversal, ct0_subsets,
     max_triple_free_subset, psi_brute_force,
-])
+]
+
+
+@pytest.mark.parametrize("search", SEARCHES)
 def test_searches_reject_composite_n_above_bound(search):
     with pytest.raises(BoundExceeded):
         search(66)
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+def test_searches_reject_n_below_one(search):
+    with pytest.raises(OutOfRange):
+        search(0)
+
+
+def test_psi_brute_force_bound():
+    with pytest.raises(BoundExceeded):
+        psi_brute_force(BRUTE_FORCE_BOUND + 1)
+
+
+BUDGETED_SEARCHES = {
+    "psi": lambda budget: psi(9, budget=budget),
+    "lex_least": lambda budget: lex_least_with_count(7, budget=budget),
+    "quadfree": lambda budget: max_triples_quadfree_transversal(9, budget=budget),
+    "ct0_exact": lambda budget: ct0_subsets(4, budget=budget),
+    "ct0_beam": lambda budget: ct0_subsets(5, budget=budget),
+    "triple_free": lambda budget: max_triple_free_subset(4, budget=budget),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED_SEARCHES))
+def test_max_nodes_is_an_exact_cap(name):
+    run = BUDGETED_SEARCHES[name]
+    out = run(SearchBudget(max_nodes=10))
+    assert not out.exact and out.nodes_explored == 10
+    timed = run(SearchBudget(max_time=0.0))
+    assert not timed.exact and timed.nodes_explored == 0
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12])
@@ -318,7 +352,7 @@ def test_ct0_exact_small():
 
 
 def test_ct0_beam_is_inexact_lower_bound():
-    out = ct0_subsets(5, beam_width=8)
+    out = ct0_subsets(5)
     assert not out.exact
     assert out.note.startswith("lower bound")
     assert count_triples(out.witness, 5) == out.value
@@ -373,6 +407,8 @@ def test_max_triple_free_subset():
     assert count_triples(out4.witness, 4) == 0
     out5 = max_triple_free_subset(5)
     assert out5.exact and out5.value == 6
+    with pytest.raises(OutOfRange):
+        max_triple_free_subset(1)
 
 
 def test_verify_theorem1():
