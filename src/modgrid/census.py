@@ -26,15 +26,15 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import DegenerateInput, NonPrimeModulus
+from .errors import DegenerateInput, NonPrimeModulus, OutOfRange
 from .geometry import (
     DEFAULT_MODE,
+    INF,
     CollinearityMode,
     ModularLine,
     Point,
     collinear_by_minors,
     collinear_set,
-    pair_slope,
 )
 from .modring import is_prime
 
@@ -79,6 +79,9 @@ def transversal_points(sigma: Sequence[int]) -> list[Point]:
 
 
 def _checked_points(points: Sequence[Point], n: int) -> list[Point]:
+    # the entry check of every count
+    if n < 1:
+        raise OutOfRange(f"n must be >= 1, got {n}")
     pts = [(x % n, y % n) for x, y in points]
     if len(set(pts)) != len(pts):
         raise DegenerateInput("duplicate points in set")
@@ -220,9 +223,8 @@ def slope_histogram(sigma: Sequence[int], n: int) -> dict:
     """
     if not is_prime(n):
         raise NonPrimeModulus(f"slope_histogram requires prime n, got {n}")
-    pts = transversal_points(sigma)
     hist: dict = {}
-    for p, q in combinations(pts, 2):
-        s = pair_slope(p, q, n)
-        hist[s] = hist.get(s, 0) + 1
+    for key, pairs in _pairs_per_line(transversal_points(sigma), n).items():
+        s = INF if key >= n * n else key // n
+        hist[s] = hist.get(s, 0) + pairs
     return hist

@@ -137,6 +137,8 @@ def cmd_count(args) -> int:
     started = time.perf_counter()
     mode = CollinearityMode(args.mode)
     n = args.n
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
     if args.transversal is not None:
         sigma = _parse_transversal(args.transversal)
         if len(sigma) != n or sorted(sigma) != list(range(n)):

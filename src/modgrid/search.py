@@ -17,17 +17,15 @@ pairs, since counts only grow.  Taking the minimum over a free set that
 still contains v only weakens it.
 
 The matrix is updated incrementally.  Placing P adds, for each earlier
-point Q, 1 to every later cell collinear with Q and P: along the line of
-slope (P - Q) for prime n, and from per-difference masks built once per
-search for composite n.  A composite mask is the union of the lines through
-the origin that hold the difference, each line given by its point list
-(see _origin_sets), so building all masks costs O(psi(n) * n^2) cell marks
-rather than one predicate call per cell.  Cells of used values are raised
-to a blocking value, so a row minimum is a minimum over free values.  A is
-packed into one int of 16-bit fields (see _Placement), so an update is a
-few big-int operations, and each descent builds a new matrix from its
-parent's: backtracking needs no undo.  The tables take about 6n^3 bytes for
-prime n and 2n^4 for composite n, which COMPOSITE_BOUND caps.
+point Q, 1 to every later cell collinear with Q and P, from one mask per
+difference P - Q built once per search: the union of the sets through the
+origin that hold the difference (see _origin_sets), the line of that slope
+for prime n.  Differences held by the same sets share one mask of 2n^2
+bytes: n masks for prime n, at most 338 for composite n <= 64.  Cells of
+used values are raised to a blocking value, so a row minimum is a minimum
+over free values.  A is packed into one int of 16-bit fields (see
+_Placement), so an update is a few big-int operations, and each descent
+builds a new matrix from its parent's: backtracking needs no undo.
 
 One walk, _search_branch, runs every transversal search in two modes.
 psi runs it in two phases.  The value phase prunes strictly: its limit is
@@ -54,7 +52,8 @@ import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from operator import or_
 from typing import Iterator, Optional, Sequence
 
 from .census import (
@@ -66,7 +65,7 @@ from .census import (
 )
 from .constructions import inverse_permutation
 from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
-from .geometry import DEFAULT_MODE, CollinearityMode, Point, collinear_triple
+from .geometry import DEFAULT_MODE, CollinearityMode, Point
 from .modring import is_prime
 from .packing import psi_lower_bound
 
@@ -188,9 +187,10 @@ class _NodeBudget:
 #: bits, and every pair count C(n-1, 2) must stay below the used mark 2**14
 SEARCH_BOUND = 128
 
-#: largest composite n the transversal searches accept, since the composite
-#: masks take about 2n^4 bytes; the grid searches, which scan subsets of all
-#: n^2 points, accept no n above it either
+#: largest composite n the searches accept.  It is not a memory limit: the
+#: transversal searches' masks take 2.8 MB at n = 64, against 13 MB at the
+#: accepted prime 127.  It stays so that no accepted input changes.  The grid
+#: searches, which scan subsets of all n^2 points, accept no n above it
 COMPOSITE_BOUND = 64
 
 #: largest n psi_brute_force accepts: it enumerates all n! transversals
@@ -246,14 +246,14 @@ class _Placement:
     A matrix A is one int of n*n 16-bit fields: field j*n + w counts the
     placed pairs collinear with cell (j, w), or is at least ``used`` when
     value w is used.  Placing P = (pos, v) adds one mask per earlier point
-    Q, marking the later cells collinear with Q and P.  The masks are kept
-    for P at (0, 0), with row r standing for column r + 1:
-
-    - prime n: ``lines[s]``, the line of slope s (from Q to P);
-    - composite n: ``pairs[dx*n + dy]`` for Q = (-dx, -dy), the cells of the
-      origin sets holding (dx, dy) (see _origin_sets).
-
-    Their sum is rotated by v within each row and shifted to column pos + 1.
+    Q = P - (dx, dy): ``pairs[dx*n + dy]``, the cells collinear with Q and
+    P, kept for P at (0, 0) with row r standing for column r + 1.  It is
+    the union of the origin sets that hold (dx, dy) (see _origin_sets):
+    for prime n the one line through 0 of slope dy/dx.  Differences held by
+    the same sets share one int.  The sum of the masks is rotated by v
+    within each row and shifted to column pos + 1.  The shift drops every
+    row past column n - 1, among them row n - dx - 1, which holds Q itself
+    (mod n).
     """
 
     def __init__(self, n: int, mode: CollinearityMode):
@@ -278,33 +278,26 @@ class _Placement:
                      for v in range(n)]
         self.wrap = [self.keep[0] ^ k for k in self.keep]
         self.block = mask(((r, 0) for r in range(n - 1)), used)
-        self.prime = is_prime(n)
-        if self.prime:
-            self.inv = [0] + [pow(d, -1, n) for d in range(1, n)]
-            self.lines = [mask((t - 1, s * t % n) for t in range(1, n)) for s in range(n)]
-            return
-        # the sets are closed under negation, so Q = -e lies in the same sets as e
-        self.pairs = pairs = [0] * nn
-        for cells in _origin_sets(n, mode):
-            # column 0 is P's own, so differences with dx = 0 never occur
+        # column 0 is P's own, so differences with dx = 0 never occur; the
+        # sets are closed under negation, so Q = -e lies in the same sets as e.
+        # held[e] has bit k set when origin set k holds e
+        held = [0] * nn
+        set_masks = []
+        for k, cells in enumerate(_origin_sets(n, mode)):
             cells = [(x, y) for x, y in cells if x]
-            m = mask((x - 1, y) for x, y in cells)
+            set_masks.append(mask((x - 1, y) for x, y in cells))
             for x, y in cells:
-                pairs[x * n + y] |= m
-        # keep the cells (t, f) with t <= n - 1 - dx: column n - dx holds Q
-        for e in range(nn):
-            pairs[e] &= (1 << ((n - 1 - e // n) * n * _FIELD)) - 1
+                held[x * n + y] |= 1 << k
+        unions = {h: reduce(or_, [m for k, m in enumerate(set_masks) if h >> k & 1] or [0])
+                  for h in set(held)}
+        self.pairs = [unions[h] for h in held]
 
     def place(self, A: int, sigma: Sequence[int], v: int) -> int:
         """The matrix after adding (len(sigma), v) to the placement ``sigma``."""
         n = self.n
         pos = len(sigma)
-        if self.prime:
-            inv, lines = self.inv, self.lines
-            add = sum([lines[(v - y) * inv[pos - i] % n] for i, y in enumerate(sigma)])
-        else:
-            pairs = self.pairs
-            add = sum([pairs[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)])
+        pairs = self.pairs
+        add = sum([pairs[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)])
         add += self.block
         if v:
             add = ((add << (v * _FIELD)) & self.keep[v]) | (
@@ -621,8 +614,10 @@ def lex_least_with_count(
     """Lexicographically least transversal with exactly ``target`` triples.
 
     The witness-mode walk of ``_search_branch`` from the empty prefix: the
-    first completed permutation hitting the target is returned.  If no
-    permutation attains the target the outcome carries found = False.
+    first completed permutation hitting the target is returned, or found =
+    False if none does.  A target below the count of the self-inverse map
+    (hence odd prime n only) is first put to psi's reduced value search,
+    and the walk runs only if some transversal has at most that many.
     """
     _check_bound(n)
     if not is_prime(n) or n <= 2:
@@ -630,9 +625,20 @@ def lex_least_with_count(
     if target is None:
         target = (n - 1) // 2
     start = time.perf_counter()
-    _, result, nodes, pruned, aborted = _search_branch(
-        _Placement(n, mode), (), target, _NodeBudget(budget, start), True
-    )
+    engine, nodes_left = _Placement(n, mode), _NodeBudget(budget, start)
+    nodes = pruned = 0
+    reachable = target >= count_triples(transversal_points(inverse_permutation(n)), n, mode)
+    result, aborted = None, False
+    for p in [] if reachable else _psi_prefixes(n, "full"):
+        _, w, p_nodes, p_pruned, aborted = _search_branch(engine, p, target, nodes_left)
+        nodes, pruned = nodes + p_nodes, pruned + p_pruned
+        reachable = w is not None
+        if reachable or aborted:
+            break
+    if reachable:
+        _, result, w_nodes, w_pruned, aborted = _search_branch(
+            engine, (), target, nodes_left, True)
+        nodes, pruned = nodes + w_nodes, pruned + w_pruned
     elapsed = time.perf_counter() - start
     if result is not None:
         check = count_triples(transversal_points(result), n, mode)
@@ -741,19 +747,6 @@ def _quad_line_masks(n: int, mode: CollinearityMode) -> list[int]:
     return list(masks)
 
 
-def _grid_triple_masks(n: int, mode: CollinearityMode) -> list[int]:
-    pts = [(x, y) for x in range(n) for y in range(n)]
-    masks = []
-    for p1, p2, p3 in combinations(pts, 3):
-        if collinear_triple(p1, p2, p3, n, mode):
-            masks.append(
-                (1 << (p1[0] * n + p1[1]))
-                | (1 << (p2[0] * n + p2[1]))
-                | (1 << (p3[0] * n + p3[1]))
-            )
-    return masks
-
-
 def _pairs_collinear_with(
     p: Point, others: Sequence[Point], n: int, mode: CollinearityMode
 ) -> Iterator[tuple[int, int, int]]:
@@ -767,8 +760,8 @@ def _mask_points(mask: int, n: int) -> list[Point]:
     return [(i // n, i % n) for i in range(n * n) if mask >> i & 1]
 
 
-#: ct0_subsets enumerates every subset for n up to _CT0_EXACT_MAX, and
-#: runs a beam of width _CT0_BEAM_WIDTH beyond
+#: ct0_subsets keeps every subset of each size for n up to _CT0_EXACT_MAX,
+#: and the _CT0_BEAM_WIDTH best beyond
 _CT0_EXACT_MAX = 4
 _CT0_BEAM_WIDTH = 16
 
@@ -780,10 +773,11 @@ def ct0_subsets(
 ) -> SearchOutcome:
     """Max triple count over quadruple-free subsets of the full grid.
 
-    Exact enumeration for n <= 4; a beam-search heuristic of width 16
-    (exact = False, value is a lower bound) beyond that.  Both charge one
-    node per subset examined; when the budget runs out they return the best
-    subset so far with exact = False.
+    Grows quadruple-free subsets one point at a time, keeping all of each
+    size for n <= 4 (exact, since quadruple-freeness is hereditary) and the
+    16 with the most triples beyond (a beam: exact = False, a lower bound).
+    One node is charged per new subset; when the budget runs out the best
+    subset so far is returned with exact = False.
     """
     _check_bound(n, COMPOSITE_BOUND)
     start = time.perf_counter()
@@ -794,47 +788,37 @@ def ct0_subsets(
     nodes = 0
     best, best_mask = 0, 0
     exact = n <= _CT0_EXACT_MAX
+    width = None if exact else _CT0_BEAM_WIDTH
     note = "" if exact else "lower bound: heuristic beam search"
 
-    def quadfree(mask: int) -> bool:
-        return all((mask & lm).bit_count() <= 3 for lm in quad_lines)
+    # mask is quadruple-free but for its point ``bit``: test the lines through it
+    def quadfree(mask: int, bit: int) -> bool:
+        return all((mask & lm).bit_count() <= 3 for lm in quad_lines if lm & bit)
 
     try:
-        if exact:
-            triple_masks = _grid_triple_masks(n, mode)
-            for mask in range(1 << (n * n)):
-                nodes_left.charge()
-                nodes += 1
-                if not quadfree(mask):
-                    continue
-                t = sum(1 for tm in triple_masks if mask & tm == tm)
-                if t > best:
-                    best, best_mask = t, mask
-        else:
-            # beam search: grow quadruple-free subsets greedily by triple count
-            beam: list[tuple[int, int]] = [(0, 0)]  # (triples, mask)
-            while beam:
-                candidates: dict[int, int] = {}
-                for t, mask in beam:
-                    pts = _mask_points(mask, n)
-                    for pid in range(n * n):
-                        bit = 1 << pid
-                        if mask & bit:
-                            continue
-                        new_mask = mask | bit
-                        if new_mask in candidates or not quadfree(new_mask):
-                            continue
-                        nodes_left.charge()
-                        nodes += 1
-                        p = (pid // n, pid % n)
-                        candidates[new_mask] = t + sum(
-                            1 for _ in _pairs_collinear_with(p, pts, n, mode))
-                if not candidates:
-                    break
-                ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-                beam = [(t, m) for m, t in ranked[:_CT0_BEAM_WIDTH]]
-                if beam[0][0] > best:
-                    best, best_mask = beam[0]
+        beam: list[tuple[int, int]] = [(0, 0)]  # (triples, mask)
+        while beam:
+            candidates: dict[int, int] = {}
+            for t, mask in beam:
+                pts = _mask_points(mask, n)
+                for pid in range(n * n):
+                    bit = 1 << pid
+                    if mask & bit:
+                        continue
+                    new_mask = mask | bit
+                    if new_mask in candidates or not quadfree(new_mask, bit):
+                        continue
+                    nodes_left.charge()
+                    nodes += 1
+                    p = (pid // n, pid % n)
+                    candidates[new_mask] = t + sum(
+                        1 for _ in _pairs_collinear_with(p, pts, n, mode))
+            if not candidates:
+                break
+            ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
+            beam = [(t, m) for m, t in ranked[:width]]
+            if beam[0][0] > best:
+                best, best_mask = beam[0]
     except _BudgetExhausted:
         exact, note = False, "lower bound: search budget exhausted"
     witness = _mask_points(best_mask, n)

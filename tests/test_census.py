@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -15,8 +15,8 @@ from modgrid.census import (
     validate_transversal,
 )
 from modgrid.constructions import cubic_permutation, inverse_permutation
-from modgrid.errors import DegenerateInput, NonPrimeModulus
-from modgrid.geometry import INF, CollinearityMode
+from modgrid.errors import DegenerateInput, NonPrimeModulus, OutOfRange
+from modgrid.geometry import INF, CollinearityMode, pair_slope
 from modgrid.modring import is_prime
 
 
@@ -122,6 +122,26 @@ def test_slope_histogram():
     assert 0 not in hist7 and INF not in hist7
     with pytest.raises(NonPrimeModulus):
         slope_histogram([0, 1, 2, 3], 4)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_slope_histogram_matches_pair_slopes(p):
+    rng = random.Random(p)
+    for _ in range(5):
+        sigma = rng.sample(range(p), p)
+        want: dict = {}
+        for a, b in combinations(transversal_points(sigma), 2):
+            s = pair_slope(a, b, p)
+            want[s] = want.get(s, 0) + 1
+        assert slope_histogram(sigma, p) == want
+
+
+@pytest.mark.parametrize("count", [
+    count_triples, count_quadruples, count_triples_naive, count_quadruples_naive,
+])
+def test_counts_reject_n_below_one(count):
+    with pytest.raises(OutOfRange):
+        count([(0, 0), (1, 1), (2, 2)], 0)
 
 
 def test_line_decomposition_examples():

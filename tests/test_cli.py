@@ -56,6 +56,15 @@ def test_count_points_file_duplicate(capsys, tmp_path):
     assert ":3:" in err and "duplicate" in err
 
 
+def test_count_rejects_n_below_one(capsys, tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("0 0\n1 1\n2 2\n")
+    for source in (["--points", str(path)], ["--transversal", "[]"]):
+        code, out, err = run_cli(capsys, "count", "--n", "0", *source)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_psi_command(capsys):
     code, report, err = run_json(capsys, "psi", "--n", "7")
     assert code == EXIT_OK

@@ -10,7 +10,6 @@ from modgrid.constructions import g_permutation
 from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from modgrid.geometry import CollinearityMode
 from modgrid.geometry import collinear_set, collinear_triple
-from modgrid import search
 from modgrid.search import (
     BRUTE_FORCE_BOUND,
     SEARCH_BOUND,
@@ -268,16 +267,18 @@ def test_max_nodes_is_an_exact_cap(name):
     assert not timed.exact and timed.nodes_explored == 0
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 12])
 @pytest.mark.parametrize("mode", [ANY, UNIT])
 def test_composite_masks_match_closed_form(n, mode):
-    # pairs[dx*n + dy] marks the cells (t, f), 1 <= t < n - dx, collinear with
-    # P = (0, 0) and Q = (-dx, -dy); row t - 1 stands for column t
+    # pairs[dx*n + dy] marks the cells (t, f), 1 <= t < n, collinear with
+    # P = (0, 0) and Q = (-dx, -dy); row t - 1 stands for column t, and the
+    # cell (n - dx, -dy) is Q itself
     engine = _Placement(n, mode)
-    for dx in range(1, n - 1):
+    for dx in range(1, n):
         for dy in range(n):
             fields = engine.counts(engine.pairs[dx * n + dy])
-            want = [int(t < n - dx and collinear_triple((-dx, -dy), (0, 0), (t, f), n, mode))
+            q = (-dx % n, -dy % n)
+            want = [int(t < n and ((t, f) == q or collinear_triple(q, (0, 0), (t, f), n, mode)))
                     for t in range(1, n + 1) for f in range(n)]
             assert fields == want, (n, mode, dx, dy)
 
@@ -321,6 +322,10 @@ def test_lex_least_not_found():
     # no transversal mod 5 has exactly 1 triple (the minimum is 2)
     out = lex_least_with_count(5, target=1)
     assert not out.found and out.witness is None and out.exact
+    # a target below psi(11) = 5 is refuted by the reduced value search
+    out = lex_least_with_count(11, target=4)
+    assert not out.found and out.witness is None and out.exact
+    assert out.nodes_explored <= psi(11).nodes_explored
     with pytest.raises(NonPrimeModulus):
         lex_least_with_count(6)
 
@@ -341,14 +346,25 @@ def test_quadfree_transversal_bound(n):
     assert out.value <= n * (n - 1) // 6
 
 
+# (value, witness) of ct0_subsets for n = 2..4, as the exhaustive subset
+# scan found them
+CT0_SMALL = {
+    (2, UNIT): (0, []),
+    (3, UNIT): (12, [(x, y) for x in range(3) for y in range(3)]),
+    (4, UNIT): (18, [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3),
+                     (2, 0), (2, 1), (2, 2), (3, 0)]),
+    (2, ANY): (0, []),
+    (3, ANY): (12, [(x, y) for x in range(3) for y in range(3)]),
+    (4, ANY): (3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]),
+}
+
+
 def test_ct0_exact_small():
-    assert ct0_subsets(2).value == 0
-    out3 = ct0_subsets(3)
-    assert out3.exact and out3.value == 12
-    out4 = ct0_subsets(4)
-    assert out4.exact and out4.value == 18
-    assert count_triples(out4.witness, 4) == 18
-    assert count_quadruples(out4.witness, 4) == 0
+    for (n, mode), (value, witness) in CT0_SMALL.items():
+        out = ct0_subsets(n, mode)
+        assert out.exact
+        assert (out.value, out.witness) == (value, witness), (n, mode)
+        assert count_quadruples(out.witness, n, mode) == 0
 
 
 def test_ct0_beam_is_inexact_lower_bound():
@@ -359,11 +375,7 @@ def test_ct0_beam_is_inexact_lower_bound():
     assert count_quadruples(out.witness, 5) == 0
 
 
-def test_ct0_beam_builds_no_triple_masks(monkeypatch):
-    def fail(n, mode):
-        raise AssertionError("the beam needs no triple masks")
-
-    monkeypatch.setattr(search, "_grid_triple_masks", fail)
+def test_ct0_beam_stops_at_a_one_node_budget():
     out = ct0_subsets(10, budget=SearchBudget(max_nodes=1))
     assert not out.exact and out.nodes_explored == 1
 
