@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
@@ -56,12 +57,23 @@ class TripleCensus:
     """Line-by-line census of a point set (prime modulus).
 
     ``lines`` holds every line meeting the set in k >= 2 points together
-    with k; triple/quadruple totals are the derived binomial sums.
+    with k, ordered by (a, b, c), built on first access from ``pairs`` (the
+    pair count per line); triple/quadruple totals are binomial sums.
     """
 
     triples: int
     quadruples: int
-    lines: list[tuple[ModularLine, int]]
+    n: int
+    pairs: Counter = field(repr=False)
+
+    @cached_property
+    def lines(self) -> list[tuple[ModularLine, int]]:
+        n, vertical = self.n, self.n * self.n
+        params = sorted(
+            ((1, 0, key - vertical) if key >= vertical else ((-(key // n)) % n, 1, key % n), c)
+            for key, c in self.pairs.items()
+        )
+        return [(ModularLine(a, b, c, n), _points_on(pairs)) for (a, b, c), pairs in params]
 
 
 def validate_transversal(sigma: Sequence[int]) -> list[int]:
@@ -183,16 +195,7 @@ def line_decomposition(points: Sequence[Point], n: int) -> TripleCensus:
     if not is_prime(n):
         raise NonPrimeModulus(f"line_decomposition requires prime n, got {n}")
     lines = _pairs_per_line(_checked_points(points, n), n)
-    vertical = n * n
-    params = sorted(
-        ((1, 0, key - vertical) if key >= vertical else ((-(key // n)) % n, 1, key % n), c)
-        for key, c in lines.items()
-    )
-    return TripleCensus(
-        triples=_binomial_sum(lines, 3),
-        quadruples=_binomial_sum(lines, 4),
-        lines=[(ModularLine(a, b, c, n), _points_on(pairs)) for (a, b, c), pairs in params],
-    )
+    return TripleCensus(_binomial_sum(lines, 3), _binomial_sum(lines, 4), n, lines)
 
 
 def count_triples(

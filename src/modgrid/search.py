@@ -22,10 +22,11 @@ difference P - Q built once per search: the union of the sets through the
 origin that hold the difference (see _origin_sets), the line of that slope
 for prime n.  Differences held by the same sets share one mask of 2n^2
 bytes: n masks for prime n, at most 338 for composite n <= 64.  Cells of
-used values are raised to a blocking value, so a row minimum is a minimum
-over free values.  A is packed into one int of 16-bit fields (see
-_Placement), so an update is a few big-int operations, and each descent
-builds a new matrix from its parent's: backtracking needs no undo.
+used values, and cells a branch excludes (below), carry a blocking mark,
+so a row minimum is a minimum over free values.  A is packed into one int
+of 16-bit fields (see _Placement), so an update is a few big-int
+operations, and each descent builds a new matrix from its parent's:
+backtracking needs no undo.
 
 One walk, _search_branch, runs every transversal search in two modes.
 psi runs it in two phases.  The value phase prunes strictly: its limit is
@@ -37,9 +38,29 @@ empty prefix with the limit set to the value, and stops at the first
 completion that has exactly that many triples: the lexicographically least
 one, since completions come in lexicographic order.
 
-Symmetry reduction (value phase only): sigma(0) = 0 for every n (value
-translation), plus sigma(1) = 1 for prime n (value scaling by a unit).
-Both reductions are validated against unreduced search in the test suite.
+Symmetry reduction (value phase only).  The maps (x, y) -> (ax + b, cy + e)
+with units a, c keep transversals and triple counts, in both modes.  psi's
+``reduction`` picks the branches: "none" tries every sigma(0), "translate"
+fixes sigma(0) = 0, "full" also sigma(1) = 1 at prime n, and "canonical",
+the default, keeps one image of each transversal (isomorph rejection by
+canonical form: McKay, J. Algorithms 26, 1998):
+
+- Composite n: a floor on unit-pair gcds.  Let d be the least
+  gcd(sigma(j) - sigma(i), n) over column pairs with j - i a unit.  The map
+  x -> (x - i)/(j - i), y -> c(y - sigma(i)), c a unit with
+  c(sigma(j) - sigma(i)) = d, keeps unit distances and gcds, so its image
+  starts (0, d) and has no unit-distance pair with a gcd below d.  Branch
+  d | n starts so, and placing (pos, v) blocks the later cells (j, w) with
+  j - pos a unit and gcd(w - v, n) < d.
+- Prime n: an anchored triple.  Every transversal has a collinear triple
+  (Theorem 1), at some columns i, j, k.  The map x -> (x - i)/(j - i),
+  y -> (y - sigma(i))/(sigma(j) - sigma(i)) sends it to (0, 0), (1, 1) and
+  (r, r), r = (k - i)/(j - i); reordering the triple moves r within
+  {r, 1-r, 1/r, 1/(1-r), r/(r-1), (r-1)/r}.  Branch r, the least of its
+  orbit, starts (0, 1) with the cell (r, r) pinned.
+
+Canonical branches are split at the third column, so that a pool has work
+to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
 """
 from __future__ import annotations
 
@@ -184,7 +205,7 @@ class _NodeBudget:
 
 
 #: largest n the transversal searches accept: the cost-matrix fields are 16
-#: bits, and every pair count C(n-1, 2) must stay below the used mark 2**14
+#: bits, and every pair count C(n-1, 2) must stay below the used mark 2**15
 SEARCH_BOUND = 128
 
 #: largest composite n the searches accept.  It is not a memory limit: the
@@ -244,40 +265,34 @@ class _Placement:
     """Cost matrices of a transversal placed column by column.
 
     A matrix A is one int of n*n 16-bit fields: field j*n + w counts the
-    placed pairs collinear with cell (j, w), or is at least ``used`` when
-    value w is used.  Placing P = (pos, v) adds one mask per earlier point
-    Q = P - (dx, dy): ``pairs[dx*n + dy]``, the cells collinear with Q and
-    P, kept for P at (0, 0) with row r standing for column r + 1.  It is
-    the union of the origin sets that hold (dx, dy) (see _origin_sets):
-    for prime n the one line through 0 of slope dy/dx.  Differences held by
-    the same sets share one int.  The sum of the masks is rotated by v
-    within each row and shifted to column pos + 1.  The shift drops every
-    row past column n - 1, among them row n - dx - 1, which holds Q itself
-    (mod n).
+    placed pairs collinear with cell (j, w), plus bit 15, ``used``, set with
+    OR when the cell is blocked (see ``blocks`` and ``root``).  Counts stay
+    below 2**15 (see SEARCH_BOUND), so the mark never meets a carry.
+
+    Placing P = (pos, v) adds one mask per earlier point Q = P - (dx, dy):
+    ``pairs[dx*n + dy]``, the cells collinear with Q and P, kept for P at
+    (0, 0) with row r standing for column r + 1.  It is the union of the
+    origin sets that hold (dx, dy) (see _origin_sets): for prime n the one
+    line through 0 of slope dy/dx.  Differences held by the same sets share
+    one int.  The sum of the masks is rotated by v within each row and
+    shifted to column pos + 1.  The shift drops every row past column
+    n - 1, among them row n - dx - 1, which holds Q itself (mod n).
     """
 
     def __init__(self, n: int, mode: CollinearityMode):
         self.n = n
+        self.prime = is_prime(n)
         nn = n * n
         self.nbytes = nn * _FIELD // 8
         self.full = (1 << (nn * _FIELD)) - 1
-        self.used = used = 1 << (_FIELD - 2)
-
-        def mask(cells, value: int = 1) -> int:
-            buf = bytearray(self.nbytes)
-            fields = memoryview(buf).cast("H")
-            for r, w in cells:
-                fields[r * n + w] = value
-            fields.release()
-            return int.from_bytes(buf, sys.byteorder)
-
+        self.used = 1 << (_FIELD - 1)
         # keep[v]: all bits of the fields of columns >= v in rows 0..n-2;
         # wrap[v]: those of the other columns
         ones = (1 << _FIELD) - 1
-        self.keep = [mask(((r, w) for r in range(n - 1) for w in range(v, n)), ones)
+        self.keep = [self.mask(((r, w) for r in range(n - 1) for w in range(v, n)), ones)
                      for v in range(n)]
         self.wrap = [self.keep[0] ^ k for k in self.keep]
-        self.block = mask(((r, 0) for r in range(n - 1)), used)
+        self._blocks: dict[int, list[int]] = {}
         # column 0 is P's own, so differences with dx = 0 never occur; the
         # sets are closed under negation, so Q = -e lies in the same sets as e.
         # held[e] has bit k set when origin set k holds e
@@ -285,40 +300,69 @@ class _Placement:
         set_masks = []
         for k, cells in enumerate(_origin_sets(n, mode)):
             cells = [(x, y) for x, y in cells if x]
-            set_masks.append(mask((x - 1, y) for x, y in cells))
+            set_masks.append(self.mask((x - 1, y) for x, y in cells))
             for x, y in cells:
                 held[x * n + y] |= 1 << k
         unions = {h: reduce(or_, [m for k, m in enumerate(set_masks) if h >> k & 1] or [0])
                   for h in set(held)}
         self.pairs = [unions[h] for h in held]
 
-    def place(self, A: int, sigma: Sequence[int], v: int) -> int:
-        """The matrix after adding (len(sigma), v) to the placement ``sigma``."""
+    def mask(self, cells, value: int = 1) -> int:
+        """The matrix holding ``value`` in the fields of ``cells``, 0 elsewhere."""
+        buf = bytearray(self.nbytes)
+        fields = memoryview(buf).cast("H")
+        for r, w in cells:
+            fields[r * self.n + w] = value
+        fields.release()
+        return int.from_bytes(buf, sys.byteorder)
+
+    def blocks(self, floor: int) -> list[int]:
+        """``blocks[v]``, rows as in ``pairs``: the cells that placing v marks
+        used, value v in every later column and, under a floor d, the cells
+        (j, w) at a unit column distance with gcd(w - v, n) < d."""
+        if floor not in self._blocks:
+            n = self.n
+            cells = [(r, w) for r in range(n - 1) for w in range(n)
+                     if not w or math.gcd(r + 1, n) == 1 and math.gcd(w, n) < floor]
+            self._blocks[floor] = [self.mask(((r, (w + v) % n) for r, w in cells), self.used)
+                                   for v in range(n)]
+        return self._blocks[floor]
+
+    def place(self, A: int, sigma: Sequence[int], v: int, block: int) -> int:
+        """The matrix after adding (len(sigma), v) to the placement ``sigma``;
+        ``block`` is ``blocks(floor)[v]``."""
         n = self.n
         pos = len(sigma)
         pairs = self.pairs
         add = sum([pairs[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)])
-        add += self.block
         if v:
             add = ((add << (v * _FIELD)) & self.keep[v]) | (
-                (add >> ((n - v) * _FIELD)) & self.wrap[v]
-            )
-        return (A + (add << ((pos + 1) * n * _FIELD))) & self.full
+                (add >> ((n - v) * _FIELD)) & self.wrap[v])
+        shift = (pos + 1) * n * _FIELD
+        return ((A + (add << shift)) | (block << shift)) & self.full
 
     def counts(self, A: int) -> list[int]:
         """The fields of ``A`` as a list of n*n ints."""
         return memoryview(A.to_bytes(self.nbytes, sys.byteorder)).cast("H").tolist()
 
-    def root(self, prefix: Sequence[int]) -> tuple[int, list[int], int]:
-        """(A, sigma, count) after placing ``prefix``."""
+    def root(self, prefix: Sequence[int], anchor: int = 0
+             ) -> tuple[int, list[int], int, list[int]]:
+        """(A, sigma, count, blocks) after placing ``prefix`` in a branch
+        with ``anchor`` (see _psi_branches): at prime n the diagonal cell
+        (r, r) pinned, at composite n the floor d; 0 for neither."""
+        n = self.n
         A = 0
+        if self.prime and anchor:
+            A = self.mask([(j, anchor) for j in range(n) if j != anchor]
+                          + [(anchor, w) for w in range(n) if w != anchor], self.used)
+        blocks = self.blocks(0 if self.prime else anchor)
         sigma: list[int] = []
         count = 0
         for v in prefix:
-            count += self.counts(A)[len(sigma) * self.n + v]
-            A = self.place(A, sigma, v)
+            count += self.counts(A)[len(sigma) * n + v]
+            A = self.place(A, sigma, v, blocks[v])
             sigma.append(v)
-        return A, sigma, count
+        return A, sigma, count, blocks
 
     def rest(self, vals: list[int], pos: int) -> int:
         """Lower bound on the triples still to close in columns pos..n-1."""
@@ -332,9 +376,11 @@ def _search_branch(
     limit: float,
     budget: _NodeBudget,
     witness_mode: bool = False,
+    anchor: int = 0,
 ) -> tuple[Optional[int], Optional[list[int]], int, int, bool]:
     """Walk the completions of ``prefix`` in lexicographic value order,
-    pruning every child whose look-ahead bound exceeds ``limit``.
+    pruning every child whose look-ahead bound exceeds ``limit`` (blocked
+    cells include those of the branch's ``anchor``: see _Placement.root).
 
     Value mode: each completion lowers ``limit`` to its count - 1, so the
     last completion taken is an optimum of the branch, if any completion has
@@ -346,7 +392,7 @@ def _search_branch(
     n = engine.n
     nn = n * n
     place, counts, used_at = engine.place, engine.counts, engine.used
-    A0, sigma, count = engine.root(prefix)
+    A0, sigma, count, blocks = engine.root(prefix, anchor)
     start_pos = len(prefix)
     nodes = granted = pruned = 0
     value: Optional[int] = None
@@ -385,7 +431,7 @@ def _search_branch(
                 sigma.append(v)
                 done = finish(base + a)
             else:
-                child = place(A, sigma, v)
+                child = place(A, sigma, v, blocks[v])
                 sigma.append(v)
                 done = rec(pos + 1, cnt + a, child)
             if done:
@@ -420,18 +466,46 @@ def _init_pool(engine: _Placement, budget: _NodeBudget) -> None:
     _pool_engine, _pool_budget = engine, budget
 
 
-def _pool_branch(prefix, limit):
-    return _search_branch(_pool_engine, prefix, limit, _pool_budget)
+def _pool_branch(branch, limit):
+    return _search_branch(_pool_engine, branch[1], limit, _pool_budget, anchor=branch[0])
 
 
-def _psi_prefixes(n: int, reduction: str) -> list[tuple[int, ...]]:
+#: psi's reductions; "auto" is "canonical", or on resume the checkpoint's
+_REDUCTIONS = ("auto", "canonical", "full", "translate", "none")
+
+
+def _orbit_representatives(p: int) -> list[int]:
+    """The least r of each orbit of {r, 1-r, 1/r, 1/(1-r), r/(r-1), (r-1)/r}
+    on 2..p-1 (p prime)."""
+    reps = []
+    for r in range(2, p):
+        inv, co = pow(r, -1, p), pow(1 - r, -1, p)
+        if r == min(x % p for x in (r, 1 - r, inv, co, -r * co, 1 - inv)):
+            reps.append(r)
+    return reps
+
+
+def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[int, ...]]]:
+    """The value phase's branches, as (anchor, prefix) pairs (see
+    _Placement.root), for n >= 3."""
+    n = engine.n
     if reduction == "none":
-        return [(v,) for v in range(n)]
-    if reduction == "translate" or not is_prime(n) or n < 3:
-        return [(0, v) for v in range(1, n)]
-    if n == 3:
-        return [(0, 1, 2)]
-    return [(0, 1, v) for v in range(2, n)]
+        return [(0, (v,)) for v in range(n)]
+    if reduction == "translate" or (reduction == "full" and not engine.prime):
+        return [(0, (0, v)) for v in range(1, n)]
+    if reduction == "full":
+        return [(0, (0, 1, v)) for v in range(2, n)]
+    if engine.prime:
+        roots = [(r, (0, 1)) for r in _orbit_representatives(n)]
+    else:
+        roots = [(d, (0, d)) for d in range(1, n) if n % d == 0]
+    # split at the third column, so that a pool has work to share
+    branches = []
+    for anchor, prefix in roots:
+        vals = engine.counts(engine.root(prefix, anchor)[0])
+        branches += [(anchor, prefix + (v,)) for v in range(n)
+                     if vals[2 * n + v] < engine.used]
+    return branches
 
 
 def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) -> dict:
@@ -443,8 +517,12 @@ def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) 
         raise CheckpointMismatch(
             f"checkpoint {path} is for n={data.get('n')}, mode={data.get('mode')}"
         )
-    if data.get("reduction") != reduction:
+    recorded = data.get("reduction")
+    if recorded not in _REDUCTIONS[1:] or reduction not in ("auto", recorded):
         raise CheckpointMismatch(f"checkpoint {path} used a different symmetry reduction")
+    # a canonical branch is stored with its anchor, any other as its prefix
+    data["remaining"] = [(e["anchor"], tuple(e["prefix"])) if isinstance(e, dict)
+                         else (0, tuple(e)) for e in data["remaining"]]
     return data
 
 
@@ -455,7 +533,7 @@ def _write_checkpoint(
     reduction: str,
     best,
     witness,
-    remaining: list[tuple[int, ...]],
+    remaining: list[tuple[int, tuple[int, ...]]],
 ) -> None:
     data = {
         "version": CHECKPOINT_VERSION,
@@ -464,7 +542,8 @@ def _write_checkpoint(
         "reduction": reduction,
         "best": None if best == math.inf else int(best),
         "witness": witness,
-        "remaining": [list(p) for p in remaining],
+        "remaining": [{"anchor": a, "prefix": list(p)} if reduction == "canonical" else list(p)
+                      for a, p in remaining],
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -482,46 +561,48 @@ def psi(
     """Minimum collinear-triple count over all transversals of Z_n.
 
     Two phases on one node budget and deadline.  The value phase is a
-    strict branch-and-bound over the symmetry-reduced prefixes, serial or
-    pooled; the witness phase then walks from the empty prefix to the
-    lexicographically least transversal with that many triples.  Budget
-    exhaustion in either phase yields exact = False with the best value
-    found so far (an upper bound) and its witness; the checkpoint then
-    keeps every prefix not yet finished (none once the value phase is
-    done), so a resumed run gives the uninterrupted result.
+    strict branch-and-bound over the branches of ``reduction`` (see the
+    module docstring), serial or pooled; the witness phase then walks from
+    the empty prefix to the lexicographically least transversal with that
+    many triples.  Budget exhaustion in either phase yields exact = False
+    with the best value found so far (an upper bound) and its witness; the
+    checkpoint then keeps every branch not yet finished (none once the
+    value phase is done), so a resumed run gives the uninterrupted result.
     """
     _check_bound(n)
+    if reduction not in _REDUCTIONS:
+        raise ValueError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
     budget = budget or SearchBudget()
     start = time.perf_counter()
     if n <= 2:
         witness = list(range(n))
         return SearchOutcome(0, witness, True, elapsed=time.perf_counter() - start)
 
-    red = reduction if reduction != "auto" else ("full" if is_prime(n) else "translate")
-    prefixes = _psi_prefixes(n, red)
-
+    engine = _Placement(n, mode)
     best: float = math.inf
     witness: Optional[list[int]] = None
-    if is_prime(n):
+    if engine.prime:
         # the self-inverse construction seeds the value phase
         witness = inverse_permutation(n)
         best = count_triples(transversal_points(witness), n, mode)
 
     if checkpoint and os.path.exists(checkpoint):
-        data = _load_checkpoint(checkpoint, n, mode, red)
+        data = _load_checkpoint(checkpoint, n, mode, reduction)
+        red, branches = data["reduction"], data["remaining"]
         # a null witness stands for no completion yet, or the prime seed
         if data["witness"] is not None and data["best"] < best:
             best, witness = data["best"], list(data["witness"])
-        prefixes = [tuple(p) for p in data["remaining"]]
+    else:
+        red = "canonical" if reduction == "auto" else reduction
+        branches = _psi_branches(engine, red)
 
-    engine = _Placement(n, mode)
     nodes_left = _NodeBudget(budget, start)
     nodes_total = 0
     pruned_total = 0
     aborted = False
-    remaining = list(prefixes)
+    remaining = list(branches)
 
-    def merge(p, result) -> None:
+    def merge(branch, result) -> None:
         """Fold one branch result in; a branch that did not finish stays
         in ``remaining``."""
         nonlocal best, witness, nodes_total, pruned_total, aborted
@@ -533,24 +614,24 @@ def psi(
         if ab:
             aborted = True
         else:
-            remaining.remove(p)
+            remaining.remove(branch)
         if checkpoint:
             _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
 
-    if budget.workers > 1 and len(prefixes) > 1:
+    if budget.workers > 1 and len(branches) > 1:
         nodes_left.share()
         with ProcessPoolExecutor(
             max_workers=budget.workers, initializer=_init_pool, initargs=(engine, nodes_left)
         ) as pool:
             # at most one branch per worker in flight, so each new branch
             # starts from the best value known when it is submitted
-            todo = iter(prefixes)
+            todo = iter(branches)
             running: dict = {}
 
             def submit() -> None:
-                p = next(todo, None)
-                if p is not None and not aborted:
-                    running[pool.submit(_pool_branch, p, best - 1)] = p
+                branch = next(todo, None)
+                if branch is not None and not aborted:
+                    running[pool.submit(_pool_branch, branch, best - 1)] = branch
 
             for _ in range(budget.workers):
                 submit()
@@ -560,8 +641,9 @@ def psi(
                     merge(running.pop(fut), fut.result())
                     submit()
     else:
-        for p in prefixes:
-            merge(p, _search_branch(engine, p, best - 1, nodes_left))
+        for branch in branches:
+            merge(branch, _search_branch(engine, branch[1], best - 1, nodes_left,
+                                         anchor=branch[0]))
             if aborted:
                 break
 
@@ -616,8 +698,9 @@ def lex_least_with_count(
     The witness-mode walk of ``_search_branch`` from the empty prefix: the
     first completed permutation hitting the target is returned, or found =
     False if none does.  A target below the count of the self-inverse map
-    (hence odd prime n only) is first put to psi's reduced value search,
-    and the walk runs only if some transversal has at most that many.
+    (hence odd prime n only) is first put to psi's value search on the
+    canonical branches, and the walk runs only if some transversal has at
+    most that many.
     """
     _check_bound(n)
     if not is_prime(n) or n <= 2:
@@ -629,8 +712,9 @@ def lex_least_with_count(
     nodes = pruned = 0
     reachable = target >= count_triples(transversal_points(inverse_permutation(n)), n, mode)
     result, aborted = None, False
-    for p in [] if reachable else _psi_prefixes(n, "full"):
-        _, w, p_nodes, p_pruned, aborted = _search_branch(engine, p, target, nodes_left)
+    for a, p in [] if reachable else _psi_branches(engine, "canonical"):
+        _, w, p_nodes, p_pruned, aborted = _search_branch(
+            engine, p, target, nodes_left, anchor=a)
         nodes, pruned = nodes + p_nodes, pruned + p_pruned
         reachable = w is not None
         if reachable or aborted:
@@ -880,10 +964,12 @@ def verify_theorem1(n: int) -> bool:
     """Every transversal of a prime grid has a collinear triple.
 
     Exhaustive (via psi) for n <= 11; beyond, the proved lower bound
-    psi(p) >= ceil((p-1)/4) >= 1 (``psi_lower_bound``).
+    psi(p) >= ceil((p-1)/4) >= 1 (``psi_lower_bound``).  The search runs
+    the "full" reduction: the canonical one visits only transversals that
+    have a triple, so it would assume the theorem.
     """
     if not is_prime(n) or n <= 2:
         raise NonPrimeModulus(f"verify_theorem1 requires an odd prime, got {n}")
     if n <= 11:
-        return psi(n).value >= 1
+        return psi(n, reduction="full").value >= 1
     return psi_lower_bound(n) >= 1

@@ -16,7 +16,7 @@ from modgrid.census import (
 )
 from modgrid.constructions import cubic_permutation, inverse_permutation
 from modgrid.errors import DegenerateInput, NonPrimeModulus, OutOfRange
-from modgrid.geometry import INF, CollinearityMode, pair_slope
+from modgrid.geometry import INF, CollinearityMode, ModularLine, pair_slope
 from modgrid.modring import is_prime
 
 
@@ -158,6 +158,29 @@ def test_line_decomposition_examples():
         census = line_decomposition(transversal_points(list(sigma)), 5)
         assert len(census.lines) <= 8
         assert sum(comb(k, 2) for _, k in census.lines) == comb(5, 2)
+
+
+def _lines_by_pair_scan(pts, p):
+    """(line, k) for every line through two of the points, as ModularLine's
+    canonical form, in order of (a, b, c): the eager construction."""
+    lines = set()
+    for (px, py), (qx, qy) in combinations(pts, 2):
+        if px == qx:
+            lines.add((1, 0, px))
+        else:
+            s = (qy - py) * pow(qx - px, -1, p) % p
+            lines.add((-s % p, 1, (py - s * px) % p))
+    return [(ModularLine(a, b, c, p), sum(ModularLine(a, b, c, p).contains(q) for q in pts))
+            for a, b, c in sorted(lines)]
+
+
+def test_lazy_lines_equal_the_pair_scan():
+    rng = random.Random(11)
+    for p in (5, 7, 11, 13, 31, 61):
+        sigmas = [inverse_permutation(p)] + [rng.sample(range(p), p) for _ in range(4)]
+        for sigma in sigmas:
+            pts = transversal_points(sigma)
+            assert line_decomposition(pts, p).lines == _lines_by_pair_scan(pts, p)
 
 
 def test_line_decomposition_requires_prime():

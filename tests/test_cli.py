@@ -95,7 +95,7 @@ def test_psi_rejects_n_below_one(capsys):
 def test_psi_checkpoint_resume(capsys, tmp_path):
     ckpt = str(tmp_path / "ckpt.json")
     code, _, _ = run_json(capsys, "psi", "--n", "9",
-                          "--budget-nodes", "20000", "--checkpoint", ckpt)
+                          "--budget-nodes", "500", "--checkpoint", ckpt)
     assert code == EXIT_BUDGET
     code, report, _ = run_json(capsys, "psi", "--n", "9", "--checkpoint", ckpt)
     assert code == EXIT_OK

@@ -1,20 +1,25 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modgrid import search
 from modgrid.census import count_quadruples, count_triples, transversal_points
 from modgrid.constructions import g_permutation
 from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from modgrid.geometry import CollinearityMode
 from modgrid.geometry import collinear_set, collinear_triple
+from modgrid.modring import is_prime
 from modgrid.search import (
     BRUTE_FORCE_BOUND,
     SEARCH_BOUND,
     SearchBudget,
     _Placement,
+    _orbit_representatives,
+    _psi_branches,
     _quad_line_masks,
     ct0_subsets,
     lex_least_with_count,
@@ -95,14 +100,19 @@ def test_psi_budget_yields_inexact_upper_bound():
 
 
 def test_psi_checkpoint_roundtrip(tmp_path):
-    path = str(tmp_path / "ckpt.json")
-    partial = psi(9, budget=SearchBudget(max_nodes=20000), checkpoint=path)
-    assert not partial.exact
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["n"] == 9 and data["version"] == 1
-    resumed = psi(9, checkpoint=path)
-    assert resumed.exact and resumed.value == 5
+    for reduction in ("canonical", "full"):
+        path = str(tmp_path / f"{reduction}.json")
+        ref = psi(9, reduction=reduction)
+        max_nodes = 20000 if reduction == "full" else ref.nodes_explored // 4
+        partial = psi(9, budget=SearchBudget(max_nodes=max_nodes), checkpoint=path,
+                      reduction=reduction)
+        assert not partial.exact
+        with open(path) as fh:
+            data = json.load(fh)
+        assert data["n"] == 9 and data["version"] == 1 and data["reduction"] == reduction
+        # auto resumes with the reduction the checkpoint records
+        resumed = psi(9, checkpoint=path)
+        assert resumed.exact and resumed.value == 5
 
 
 # lex-least optimal witnesses; no pruning rule may change them
@@ -126,7 +136,7 @@ def test_psi_witness_pinned(n, mode):
 def _bound_case(n, mode, prefix):
     """(cnt, node bound, {v: child bound}) of the engine at ``prefix``."""
     engine = _Placement(n, mode)
-    A, _, cnt = engine.root(prefix)
+    A, _, cnt, _ = engine.root(prefix)
     vals = engine.counts(A)
     pos = len(prefix)
     node = cnt + engine.rest(vals, pos)
@@ -165,21 +175,28 @@ def test_lookahead_bound_is_admissible(case, mode):
         assert node == cnt
 
 
+# an int is a node budget for the "full" reduction, whose node counts it was
+# chosen for; a float is a fraction of the nodes of the uninterrupted
+# default run.  Every cut falls in the value phase
 @pytest.mark.parametrize("n", [9, 10])
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("max_nodes", [50, 3000, 12000])
+@pytest.mark.parametrize("max_nodes", [50, 3000, 12000, 0.01, 0.25, 0.6])
 def test_interrupted_resume_matches_uninterrupted(tmp_path, n, workers, max_nodes):
-    ref = psi(n)
+    reduction = "full" if isinstance(max_nodes, int) else "auto"
+    ref = psi(n, reduction=reduction)
+    if isinstance(max_nodes, float):
+        max_nodes = round(max_nodes * ref.nodes_explored)
     path = str(tmp_path / "ckpt.json")
     budget = SearchBudget(max_nodes=max_nodes, workers=workers)
-    partial = psi(n, budget=budget, checkpoint=path)
+    partial = psi(n, budget=budget, checkpoint=path, reduction=reduction)
     assert not partial.exact
     # one node budget for the whole search, however many workers share it
     assert partial.nodes_explored <= max_nodes
     with open(path) as fh:
         assert json.load(fh)["remaining"]
-    psi(n, budget=budget, checkpoint=path)  # a second interrupted leg
-    resumed = psi(n, budget=SearchBudget(workers=workers), checkpoint=path)
+    psi(n, budget=budget, checkpoint=path, reduction=reduction)  # a second interrupted leg
+    resumed = psi(n, budget=SearchBudget(workers=workers), checkpoint=path,
+                  reduction=reduction)
     assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
 
 
@@ -306,6 +323,89 @@ def test_psi_checkpoint_mismatch(tmp_path):
     psi(7, budget=SearchBudget(max_nodes=50), checkpoint=path)
     with pytest.raises(CheckpointMismatch):
         psi(9, checkpoint=path)
+    for reduction in ("full", "translate", "none"):
+        with pytest.raises(CheckpointMismatch):
+            psi(7, checkpoint=path, reduction=reduction)
+    assert psi(7, checkpoint=path, reduction="canonical").exact
+
+
+# at n = 12 the floor 6 leaves column 2 only the values 0 and 6, both used
+@pytest.mark.parametrize("n,anchors", [(11, {2, 3}), (12, {1, 2, 3, 4}), (13, {2, 3, 4})])
+def test_canonical_checkpoint_entries_carry_their_anchor(tmp_path, n, anchors):
+    path = str(tmp_path / "ckpt.json")
+    psi(n, budget=SearchBudget(max_nodes=50), checkpoint=path)
+    with open(path) as fh:
+        data = json.load(fh)
+    assert data["reduction"] == "canonical"
+    branches = [{"anchor": a, "prefix": list(p)}
+                for a, p in _psi_branches(_Placement(n, UNIT), "canonical")]
+    assert data["remaining"] and all(e in branches for e in data["remaining"])
+    # one branch per orbit representative r (prime n) or divisor d < n,
+    # split at the third column
+    assert {e["anchor"] for e in branches} == anchors
+    assert all(len(e["prefix"]) == 3 for e in branches)
+
+
+def _canonical_image(sigma, n, mode):
+    """(anchor, tau): the image of sigma that the canonical reduction keeps,
+    mapped as in the search module docstring."""
+    if is_prime(n):
+        reps = _orbit_representatives(n)
+        for i, j, k in itertools.permutations(range(n), 3):
+            s = pow(j - i, -1, n)
+            r = (k - i) * s % n
+            pts = [(x, sigma[x]) for x in (i, j, k)]
+            if r in reps and collinear_triple(*pts, n, mode):
+                t = pow(sigma[j] - sigma[i], -1, n)
+                break
+        else:
+            raise AssertionError(f"{sigma} has no collinear triple")
+        anchor = r
+    else:
+        anchor, i, j = min((math.gcd(sigma[j] - sigma[i], n), i, j)
+                           for i in range(n) for j in range(n)
+                           if i != j and math.gcd(j - i, n) == 1)
+        s = pow(j - i, -1, n)
+        t = next(c for c in range(1, n)
+                 if math.gcd(c, n) == 1 and c * (sigma[j] - sigma[i]) % n == anchor)
+    tau = [0] * n
+    for x in range(n):
+        tau[(x - i) * s % n] = (sigma[x] - sigma[i]) * t % n
+    return anchor, tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), mode=st.sampled_from([UNIT, ANY]))
+def test_canonical_image_passes_its_branch(data, mode):
+    n = data.draw(st.integers(3, 8))
+    sigma = data.draw(st.permutations(range(n)))
+    anchor, tau = _canonical_image(sigma, n, mode)
+    engine = _Placement(n, mode)
+    assert (anchor, tuple(tau[:3])) in _psi_branches(engine, "canonical")
+    # a blocked or pinned-out cell would add the used mark to the count
+    _, _, count, _ = engine.root(tau, anchor)
+    assert count == count_triples(transversal_points(sigma), n, mode)
+
+
+# (12, ANY) is left out: "translate" takes about two minutes there.  At
+# composite n "full" is "translate"
+@pytest.mark.parametrize("n,mode", [(n, m) for n in range(3, 13) for m in (UNIT, ANY)
+                                    if (n, m) != (12, ANY)])
+def test_canonical_matches_full_and_translate(n, mode):
+    canonical = psi(n, mode, reduction="canonical")
+    for reduction in ("full", "translate") if is_prime(n) else ("translate",):
+        other = psi(n, mode, reduction=reduction)
+        assert (canonical.value, canonical.exact, canonical.witness) == (
+            other.value, other.exact, other.witness), reduction
+    if n in (9, 10, 12):
+        pooled = psi(n, mode, budget=SearchBudget(workers=2))
+        assert (pooled.value, pooled.exact, pooled.witness) == (
+            canonical.value, canonical.exact, canonical.witness)
+
+
+def test_psi_rejects_unknown_reduction():
+    with pytest.raises(ValueError):
+        psi(5, reduction="transpose")
 
 
 def test_lex_least_examples():
@@ -326,6 +426,9 @@ def test_lex_least_not_found():
     out = lex_least_with_count(11, target=4)
     assert not out.found and out.witness is None and out.exact
     assert out.nodes_explored <= psi(11).nodes_explored
+    out = lex_least_with_count(13, target=5)
+    assert not out.found and out.witness is None and out.exact
+    assert out.nodes_explored <= psi(13).nodes_explored
     with pytest.raises(NonPrimeModulus):
         lex_least_with_count(6)
 
@@ -429,3 +532,16 @@ def test_verify_theorem1():
     assert verify_theorem1(13)
     with pytest.raises(NonPrimeModulus):
         verify_theorem1(9)
+
+
+def test_verify_theorem1_does_not_assume_it(monkeypatch):
+    # the canonical reduction visits only transversals with a triple
+    calls = []
+
+    def recording_psi(n, **kwargs):
+        calls.append(kwargs.get("reduction", "auto"))
+        return psi(n, **kwargs)
+
+    monkeypatch.setattr(search, "psi", recording_psi)
+    assert verify_theorem1(7)
+    assert calls == ["full"]
