@@ -28,15 +28,27 @@ of 16-bit fields (see _Placement), so an update is a few big-int
 operations, and each descent builds a new matrix from its parent's:
 backtracking needs no undo.
 
-One walk, _search_branch, runs every transversal search in two modes.
-psi runs it in two phases.  The value phase prunes strictly: its limit is
-one below the best count known, so ties are never explored and a branch
-needs only that count, not a witness or a rule for breaking ties.  For
-prime n the self-inverse construction seeds the best count and its
-witness.  The witness phase (also lex_least_with_count) walks from the
-empty prefix with the limit set to the value, and stops at the first
-completion that has exactly that many triples: the lexicographically least
-one, since completions come in lexicographic order.
+One walk, _search_branch, runs every transversal search, under one of
+three objectives.  psi runs it in two phases.  The value phase ("min")
+prunes strictly: its limit is one below the best count known, so ties are
+never explored and a branch needs only that count, not a witness or a rule
+for breaking ties.  For prime n the self-inverse construction seeds the
+best count and its witness.  The witness phase ("first", also
+lex_least_with_count) walks from the empty prefix with the limit set to the
+value, and stops at the first completion that has exactly that many
+triples: the lexicographically least one, since completions come in
+lexicographic order.
+
+The quadruple-free maximum ("max") walks with no limit and takes each
+completion with more triples than the last one taken, so the last taken is
+the lex-least maximum.  Quadruple-freeness is a blocking mark, not a test
+at each node.  Points 0, e, r and s are collinear exactly when one origin
+set holds e, r and s (the sets are subgroups: see _quad_line_masks).  So
+if P closes a triple with placed points Q and Q', the cells that would
+complete a quadruple are, translated by P, those of the sets in
+held[P - Q] & held[P - Q'].  Placing P marks their later cells used, as it
+marks used values.  P closes a triple only when its field of A is above 0,
+so only those placements pay for the marks.
 
 Symmetry reduction (value phase only).  The maps (x, y) -> (ax + b, cy + e)
 with units a, c keep transversals and triple counts, in both modes.  psi's
@@ -77,13 +89,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterator, Optional, Sequence
 
-from .census import (
-    _anchored_counts,
-    _collinear_pairs,
-    count_quadruples,
-    count_triples,
-    transversal_points,
-)
+from .census import _collinear_pairs, count_quadruples, count_triples, transversal_points
 from .constructions import inverse_permutation
 from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from .geometry import DEFAULT_MODE, CollinearityMode, Point
@@ -296,16 +302,23 @@ class _Placement:
         # column 0 is P's own, so differences with dx = 0 never occur; the
         # sets are closed under negation, so Q = -e lies in the same sets as e.
         # held[e] has bit k set when origin set k holds e
-        held = [0] * nn
-        set_masks = []
+        self.held = [0] * nn
+        self._set_masks = []
         for k, cells in enumerate(_origin_sets(n, mode)):
             cells = [(x, y) for x, y in cells if x]
-            set_masks.append(self.mask((x - 1, y) for x, y in cells))
+            self._set_masks.append(self.mask((x - 1, y) for x, y in cells))
             for x, y in cells:
-                held[x * n + y] |= 1 << k
-        unions = {h: reduce(or_, [m for k, m in enumerate(set_masks) if h >> k & 1] or [0])
-                  for h in set(held)}
-        self.pairs = [unions[h] for h in held]
+                self.held[x * n + y] |= 1 << k
+        self._unions: dict[int, int] = {}
+        self.pairs = [self.union(h) for h in self.held]
+
+    def union(self, h: int) -> int:
+        """The union of the origin sets whose bits are set in ``h``, rows as
+        in ``pairs``: built once per distinct h."""
+        if h not in self._unions:
+            self._unions[h] = reduce(
+                or_, [m for k, m in enumerate(self._set_masks) if h >> k & 1], 0)
+        return self._unions[h]
 
     def mask(self, cells, value: int = 1) -> int:
         """The matrix holding ``value`` in the fields of ``cells``, 0 elsewhere."""
@@ -322,22 +335,38 @@ class _Placement:
         (j, w) at a unit column distance with gcd(w - v, n) < d."""
         if floor not in self._blocks:
             n = self.n
-            cells = [(r, w) for r in range(n - 1) for w in range(n)
-                     if not w or math.gcd(r + 1, n) == 1 and math.gcd(w, n) < floor]
-            self._blocks[floor] = [self.mask(((r, (w + v) % n) for r, w in cells), self.used)
-                                   for v in range(n)]
+            block = self.mask(((r, w) for r in range(n - 1) for w in range(n)
+                               if not w or math.gcd(r + 1, n) == 1 and math.gcd(w, n) < floor),
+                              self.used)
+            self._blocks[floor] = [self.rotate(block, v) for v in range(n)]
         return self._blocks[floor]
+
+    def rotate(self, M: int, v: int) -> int:
+        """``M``, rows as in ``pairs``, with every row rotated by v: the
+        field of (r, w) moves to (r, (w + v) % n)."""
+        if not v:
+            return M
+        return ((M << (v * _FIELD)) & self.keep[v]) | (
+            (M >> ((self.n - v) * _FIELD)) & self.wrap[v])
+
+    def quad_block(self, sigma: Sequence[int], v: int) -> int:
+        """The cells, rows as in ``pairs``, that placing (len(sigma), v) marks
+        used in a quadruple-free search (see the module docstring)."""
+        n = self.n
+        pos = len(sigma)
+        d = [self.held[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)]
+        common = {h & g for h, g in itertools.combinations(d, 2)}
+        return self.rotate(reduce(or_, map(self.union, common), 0), v) << (_FIELD - 1)
 
     def place(self, A: int, sigma: Sequence[int], v: int, block: int) -> int:
         """The matrix after adding (len(sigma), v) to the placement ``sigma``;
-        ``block`` is ``blocks(floor)[v]``."""
+        ``block`` is ``blocks(floor)[v]``, with ``quad_block`` ORed in for a
+        quadruple-free search."""
         n = self.n
         pos = len(sigma)
         pairs = self.pairs
-        add = sum([pairs[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)])
-        if v:
-            add = ((add << (v * _FIELD)) & self.keep[v]) | (
-                (add >> ((n - v) * _FIELD)) & self.wrap[v])
+        add = self.rotate(sum([pairs[(pos - i) * n + (v - y) % n]
+                               for i, y in enumerate(sigma)]), v)
         shift = (pos + 1) * n * _FIELD
         return ((A + (add << shift)) | (block << shift)) & self.full
 
@@ -345,11 +374,12 @@ class _Placement:
         """The fields of ``A`` as a list of n*n ints."""
         return memoryview(A.to_bytes(self.nbytes, sys.byteorder)).cast("H").tolist()
 
-    def root(self, prefix: Sequence[int], anchor: int = 0
+    def root(self, prefix: Sequence[int], anchor: int = 0, quad: bool = False
              ) -> tuple[int, list[int], int, list[int]]:
         """(A, sigma, count, blocks) after placing ``prefix`` in a branch
         with ``anchor`` (see _psi_branches): at prime n the diagonal cell
-        (r, r) pinned, at composite n the floor d; 0 for neither."""
+        (r, r) pinned, at composite n the floor d; 0 for neither.  ``quad``
+        blocks the cells that would complete a collinear quadruple."""
         n = self.n
         A = 0
         if self.prime and anchor:
@@ -359,8 +389,10 @@ class _Placement:
         sigma: list[int] = []
         count = 0
         for v in prefix:
-            count += self.counts(A)[len(sigma) * n + v]
-            A = self.place(A, sigma, v, blocks[v])
+            a = self.counts(A)[len(sigma) * n + v]
+            count += a
+            A = self.place(A, sigma, v,
+                           blocks[v] | self.quad_block(sigma, v) if quad and a else blocks[v])
             sigma.append(v)
         return A, sigma, count, blocks
 
@@ -375,24 +407,27 @@ def _search_branch(
     prefix: Sequence[int],
     limit: float,
     budget: _NodeBudget,
-    witness_mode: bool = False,
+    objective: str = "min",
     anchor: int = 0,
 ) -> tuple[Optional[int], Optional[list[int]], int, int, bool]:
     """Walk the completions of ``prefix`` in lexicographic value order,
     pruning every child whose look-ahead bound exceeds ``limit`` (blocked
     cells include those of the branch's ``anchor``: see _Placement.root).
 
-    Value mode: each completion lowers ``limit`` to its count - 1, so the
-    last completion taken is an optimum of the branch, if any completion has
-    at most ``limit`` triples.  Witness mode: the walk stops at the first
-    completion with exactly ``limit`` triples, the lex-least one.  Returns
-    (count, witness, nodes, pruned, aborted), with count and witness None
-    when no completion was taken.
+    "min": each completion lowers ``limit`` to its count - 1, so the last
+    completion taken is an optimum of the branch, if any completion has at
+    most ``limit`` triples.  "first": the walk stops at the first completion
+    with exactly ``limit`` triples, the lex-least one.  "max": cells that
+    would complete a collinear quadruple are blocked, and each completion
+    with more triples than the last one taken is taken, so the last is the
+    lex-least maximum.  Returns (count, witness, nodes, pruned, aborted),
+    with count and witness None when no completion was taken.
     """
     n = engine.n
     nn = n * n
     place, counts, used_at = engine.place, engine.counts, engine.used
-    A0, sigma, count, blocks = engine.root(prefix, anchor)
+    quad = objective == "max"
+    A0, sigma, count, blocks = engine.root(prefix, anchor, quad)
     start_pos = len(prefix)
     nodes = granted = pruned = 0
     value: Optional[int] = None
@@ -401,12 +436,12 @@ def _search_branch(
     def finish(cnt: int) -> bool:
         """Take the completion sigma if it counts; True ends the walk."""
         nonlocal limit, value, witness
-        if witness_mode and cnt != limit:
+        if objective == "first" and cnt != limit or quad and value is not None and cnt <= value:
             return False
         value, witness = cnt, sigma.copy()
-        if not witness_mode:
+        if objective == "min":
             limit = cnt - 1
-        return witness_mode
+        return objective == "first"
 
     def rec(pos: int, cnt: int, A: int) -> bool:
         nonlocal nodes, granted, pruned
@@ -431,7 +466,8 @@ def _search_branch(
                 sigma.append(v)
                 done = finish(base + a)
             else:
-                child = place(A, sigma, v, blocks[v])
+                child = place(A, sigma, v,
+                              blocks[v] | engine.quad_block(sigma, v) if quad and a else blocks[v])
                 sigma.append(v)
                 done = rec(pos + 1, cnt + a, child)
             if done:
@@ -520,7 +556,8 @@ def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) 
     recorded = data.get("reduction")
     if recorded not in _REDUCTIONS[1:] or reduction not in ("auto", recorded):
         raise CheckpointMismatch(f"checkpoint {path} used a different symmetry reduction")
-    # a canonical branch is stored with its anchor, any other as its prefix
+    # a branch is stored with its anchor; files written before that hold a
+    # bare prefix, whose anchor is 0
     data["remaining"] = [(e["anchor"], tuple(e["prefix"])) if isinstance(e, dict)
                          else (0, tuple(e)) for e in data["remaining"]]
     return data
@@ -542,8 +579,7 @@ def _write_checkpoint(
         "reduction": reduction,
         "best": None if best == math.inf else int(best),
         "witness": witness,
-        "remaining": [{"anchor": a, "prefix": list(p)} if reduction == "canonical" else list(p)
-                      for a, p in remaining],
+        "remaining": [{"anchor": a, "prefix": list(p)} for a, p in remaining],
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -648,7 +684,7 @@ def psi(
                 break
 
     if not aborted:
-        _, w, nodes, pruned, aborted = _search_branch(engine, (), best, nodes_left, True)
+        _, w, nodes, pruned, aborted = _search_branch(engine, (), best, nodes_left, "first")
         nodes_total += nodes
         pruned_total += pruned
         witness = w or witness
@@ -721,7 +757,7 @@ def lex_least_with_count(
             break
     if reachable:
         _, result, w_nodes, w_pruned, aborted = _search_branch(
-            engine, (), target, nodes_left, True)
+            engine, (), target, nodes_left, "first")
         nodes, pruned = nodes + w_nodes, pruned + w_pruned
     elapsed = time.perf_counter() - start
     if result is not None:
@@ -741,61 +777,24 @@ def max_triples_quadfree_transversal(
 ) -> SearchOutcome:
     """Maximum triple count over transversals with no collinear quadruple.
 
-    DFS with sigma(0) = 0 symmetry reduction, pruning any branch that
-    already contains a quadruple.
+    The "max" walk of ``_search_branch`` from the prefix (0,) (a translation
+    fixes sigma(0) = 0), with no limit: the cells that would complete a
+    quadruple are blocked, so the walk visits only quadruple-free partial
+    transversals, and the witness is the lex-least maximum.  A blocked cell
+    is neither a node nor a prune, so ``nodes_pruned`` is 0.
     """
     _check_bound(n)
     start = time.perf_counter()
     if n <= 2:
         return SearchOutcome(0, list(range(n)), True, elapsed=time.perf_counter() - start)
-    nodes_left = _NodeBudget(budget, start)
-    sigma = [0]
-    used = [False] * n
-    used[0] = True
-    nodes = 0
-    pruned = 0
-    best = -1
-    witness: Optional[list[int]] = None
-
-    def place_stats(pos: int, v: int) -> Optional[int]:
-        """Added triples placing (pos, v), or None if a quadruple appears."""
-        d = [((i - pos) % n, (sigma[i] - v) % n) for i in range(pos)]
-        add, quads = _anchored_counts(d, n, mode, quadruples=True)
-        return None if quads else add
-
-    def rec(pos: int, cnt: int) -> None:
-        nonlocal nodes, pruned, best, witness
-        if pos == n:
-            if cnt > best:
-                best = cnt
-                witness = sigma.copy()
-            return
-        for v in range(n):
-            if used[v]:
-                continue
-            nodes_left.charge()
-            nodes += 1
-            add = place_stats(pos, v)
-            if add is None:
-                pruned += 1
-                continue
-            sigma.append(v)
-            used[v] = True
-            rec(pos + 1, cnt + add)
-            sigma.pop()
-            used[v] = False
-
-    aborted = False
-    try:
-        rec(1, 0)
-    except _BudgetExhausted:
-        aborted = True
+    best, witness, nodes, pruned, aborted = _search_branch(
+        _Placement(n, mode), (0,), math.inf, _NodeBudget(budget, start), "max")
     elapsed = time.perf_counter() - start
     if witness is None:
-        return SearchOutcome(
-            -1, None, not aborted, nodes, pruned, elapsed,
-            found=False, note="budget exhausted before any completion",
-        )
+        note = ("budget exhausted before any completion" if aborted
+                else "no quadruple-free transversal")
+        return SearchOutcome(-1, None, not aborted, nodes, pruned, elapsed,
+                             found=False, note=note)
     pts = transversal_points(witness)
     if count_triples(pts, n, mode) != best or count_quadruples(pts, n, mode) != 0:
         raise AssertionError("quadfree witness failed recount")

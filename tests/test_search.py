@@ -110,6 +110,9 @@ def test_psi_checkpoint_roundtrip(tmp_path):
         with open(path) as fh:
             data = json.load(fh)
         assert data["n"] == 9 and data["version"] == 1 and data["reduction"] == reduction
+        # every reduction writes one entry format
+        assert data["remaining"] and all(set(e) == {"anchor", "prefix"}
+                                         for e in data["remaining"])
         # auto resumes with the reduction the checkpoint records
         resumed = psi(9, checkpoint=path)
         assert resumed.exact and resumed.value == 5
@@ -447,6 +450,85 @@ def test_quadfree_transversal_bound(n):
     out = max_triples_quadfree_transversal(n)
     assert out.exact
     assert out.value <= n * (n - 1) // 6
+
+
+# (value, witness) of max_triples_quadfree_transversal as its own DFS found
+# them, before it ran on _Placement; None where no transversal is
+# quadruple-free
+QUADFREE = {
+    (1, UNIT): (0, [0]),
+    (2, UNIT): (0, [0, 1]),
+    (3, UNIT): (1, [0, 1, 2]),
+    (4, UNIT): (0, [0, 1, 3, 2]),
+    (5, UNIT): (2, [0, 1, 2, 4, 3]),
+    (6, UNIT): (4, [0, 1, 3, 5, 4, 2]),
+    (7, UNIT): (6, [0, 1, 2, 5, 6, 4, 3]),
+    (8, UNIT): (8, [0, 1, 3, 2, 4, 6, 7, 5]),
+    (9, UNIT): (12, [0, 1, 2, 6, 7, 8, 3, 4, 5]),
+    (1, ANY): (0, [0]),
+    (2, ANY): (0, [0, 1]),
+    (3, ANY): (1, [0, 1, 2]),
+    (4, ANY): (0, [0, 1, 3, 2]),
+    (5, ANY): (2, [0, 1, 2, 4, 3]),
+    (6, ANY): None,
+    (7, ANY): (6, [0, 1, 2, 5, 6, 4, 3]),
+    (8, ANY): None,
+    (9, ANY): (12, [0, 1, 2, 4, 3, 6, 5, 8, 7]),
+    (10, ANY): None,
+}
+
+
+@pytest.mark.parametrize("n,mode", sorted(QUADFREE))
+def test_quadfree_transversal_matches_the_pinned_table(n, mode):
+    out = max_triples_quadfree_transversal(n, mode)
+    assert out.exact
+    want = QUADFREE[n, mode]
+    if want is None:
+        assert (out.value, out.witness, out.found) == (-1, None, False)
+    else:
+        assert (out.value, out.witness, out.found) == (*want, True)
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_quadfree_transversal_reports_that_none_exists(n):
+    out = max_triples_quadfree_transversal(n, ANY)
+    assert (out.value, out.witness, out.found, out.exact) == (-1, None, False, True)
+    assert out.note == "no quadruple-free transversal"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("mode", [ANY, UNIT])
+def test_quadfree_transversal_matches_exhaustive_scan(n, mode):
+    # permutations come in lexicographic order, so the first maximum is the
+    # lex-least one
+    best, witness = -1, None
+    for perm in itertools.permutations(range(n)):
+        pts = transversal_points(perm)
+        if count_quadruples(pts, n, mode) == 0 and count_triples(pts, n, mode) > best:
+            best, witness = count_triples(pts, n, mode), list(perm)
+    out = max_triples_quadfree_transversal(n, mode)
+    assert out.exact and (out.value, out.witness, out.found) == (best, witness, best >= 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), mode=st.sampled_from([UNIT, ANY]))
+def test_quadruple_blocks_are_the_cells_that_complete_a_quadruple(data, mode):
+    n = data.draw(st.integers(4, 10))
+    perm = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(1, n - 1))
+    # the longest quadruple-free prefix of perm[:k]
+    prefix: list[int] = []
+    for v in perm[:k]:
+        if count_quadruples(list(enumerate(prefix + [v])), n, mode):
+            break
+        prefix.append(v)
+    engine = _Placement(n, mode)
+    vals = engine.counts(engine.root(prefix, quad=True)[0])
+    placed = list(enumerate(prefix))
+    for j in range(len(prefix), n):
+        for w in set(range(n)) - set(prefix):
+            closes = count_quadruples(placed + [(j, w)], n, mode) > 0
+            assert (vals[j * n + w] >= engine.used) == closes, (n, mode, prefix, j, w)
 
 
 # (value, witness) of ct0_subsets for n = 2..4, as the exhaustive subset
