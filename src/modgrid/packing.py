@@ -65,8 +65,6 @@ def tau(m: int) -> int:
     """Least k with C(k, 2) >= m, by exact integer search around isqrt."""
     if m < 0:
         raise OutOfRange(f"tau needs m >= 0, got {m}")
-    if m == 0:
-        return 0
     k = (1 + math.isqrt(1 + 8 * m)) // 2
     while k * (k - 1) // 2 < m:
         k += 1
@@ -75,15 +73,19 @@ def tau(m: int) -> int:
     return k
 
 
-def _part_cost(m: int) -> int:
-    return comb(tau(m), 3)
+@lru_cache(maxsize=1)
+def _tables() -> tuple[list[int], list[int], list[int]]:
+    """C(s, 2), C(s, 3) and tau(m) for the DP, built on its first call."""
+    sizes = range(tau(K_BOUND) + 1)
+    return ([comb(s, 2) for s in sizes], [comb(s, 3) for s in sizes],
+            [tau(m) for m in range(K_BOUND + 1)])
 
 
 def trip_cost(parts: Sequence[int]) -> int:
     """sum C(tau(m_i), 3) over the parts."""
     if any(m < 0 for m in parts):
         raise DegenerateInput(f"negative part in {parts}")
-    return sum(_part_cost(m) for m in parts)
+    return sum(comb(tau(m), 3) for m in parts)
 
 
 def t_closed_form(K: int, L: int) -> int:
@@ -117,22 +119,37 @@ def _check_KL(K: int, L: int) -> None:
 
 @lru_cache(maxsize=None)
 def _min_cost(k: int, l: int) -> int:
-    """DP minimum of sum C(tau(m_i), 3) over l parts summing to k."""
-    if l == 0:
-        return 0 if k == 0 else math.inf
-    if l == 1:
-        return _part_cost(k)
+    """DP minimum of sum C(tau(m_i), 3) over l parts summing to k; l >= 1 or k = 0.
+
+    The scan picks the largest line's size s: it spans at least ceil(k/l)
+    pairs, and the other lines solve (k', l-1), so s >= tau(ceil(k/l)) keeps
+    an optimum.  C(s, 3) grows with s: the scan stops once it reaches the best.
+    """
     # parts <= 1 are free; once k <= l the answer is 0
     if k <= l:
         return 0
+    c2, c3, taus = _tables()
     # a part costs C(tau(m), 3), and the remainder never costs more for
-    # fewer pairs, so each line size s takes as many pairs as it spans
-    return min(comb(s, 3) + _min_cost(k - min(comb(s, 2), k), l - 1)
-               for s in range(tau(k) + 1))
+    # fewer pairs, so each line size s takes as many pairs as it spans;
+    # the size tau(k) spans all k and leaves none to place
+    best = c3[taus[k]]
+    for s in range(taus[-(-k // l)], taus[k]):
+        cost = c3[s]
+        if cost >= best:
+            break
+        cost += _min_cost(k - c2[s], l - 1)
+        if cost < best:
+            best = cost
+    return best
 
 
 def t_exact(K: int, L: int, optima_cap: int = DEFAULT_OPTIMA_CAP) -> PackingResult:
-    """Exact T(K, L) with canonical optima enumerated up to ``optima_cap``."""
+    """Exact T(K, L) with canonical optima enumerated up to ``optima_cap``.
+
+    A state with k <= l pairs left is reached only if its cost, plus the
+    rest's minimum 0, is at most the value; no tuple costs less, so the rest
+    is the one zero-cost tail: k ones, then l - k zeros (after a 0, k = 0).
+    """
     _check_KL(K, L)
     if L == 0:
         if K != 0:
@@ -146,17 +163,15 @@ def t_exact(K: int, L: int, optima_cap: int = DEFAULT_OPTIMA_CAP) -> PackingResu
         nonlocal truncated
         if truncated:
             return
-        if l == 0:
-            if k == 0 and cost == value:
-                if len(optima) < optima_cap:
-                    optima.append(tuple(prefix))
-                else:
-                    truncated = True
+        if k <= l:
+            if len(optima) < optima_cap:
+                optima.append(tuple(prefix) + (1,) * k + (0,) * (l - k))
+            else:
+                truncated = True
             return
         # nonincreasing parts: m in [ceil(k/l), min(cap, k)]
-        lo = -(-k // l)
-        for m in range(min(cap, k), lo - 1, -1):
-            c = cost + _part_cost(m)
+        for m in range(min(cap, k), -(-k // l) - 1, -1):
+            c = cost + _min_cost(m, 1)  # one part's cost
             if c + _min_cost(k - m, l - 1) > value:
                 continue
             prefix.append(m)
@@ -176,9 +191,7 @@ def greedy_packing(K: int, L: int) -> tuple[int, ...]:
     remaining = K
     parts = []
     for i in range(L):
-        lines_left = L - i
-        target = -(-remaining // lines_left) if remaining else 0
-        take = min(remaining, comb(tau(target), 2))
+        take = min(remaining, comb(tau(-(-remaining // (L - i))), 2))
         parts.append(take)
         remaining -= take
     if remaining:

@@ -420,8 +420,9 @@ def _search_branch(
     with exactly ``limit`` triples, the lex-least one.  "max": cells that
     would complete a collinear quadruple are blocked, and each completion
     with more triples than the last one taken is taken, so the last is the
-    lex-least maximum.  Returns (count, witness, nodes, pruned, aborted),
-    with count and witness None when no completion was taken.
+    lex-least maximum; a node with a fully blocked later column is pruned.
+    Returns (count, witness, nodes, pruned, aborted), with count and
+    witness None when no completion was taken.
     """
     n = engine.n
     nn = n * n
@@ -447,7 +448,12 @@ def _search_branch(
         nonlocal nodes, granted, pruned
         vals = counts(A)
         row = pos * n
-        base = cnt + sum([min(vals[b:b + n]) for b in range(row + n, nn, n)])
+        mins = [min(vals[b:b + n]) for b in range(row + n, nn, n)]
+        if quad and max(mins, default=0) >= used_at:
+            # a later column has no free cell, so no completion lies below
+            pruned += 1
+            return False
+        base = cnt + sum(mins)
         for v in range(n):
             a = vals[row + v]
             if a >= used_at:
@@ -733,10 +739,10 @@ def lex_least_with_count(
 
     The witness-mode walk of ``_search_branch`` from the empty prefix: the
     first completed permutation hitting the target is returned, or found =
-    False if none does.  A target below the count of the self-inverse map
-    (hence odd prime n only) is first put to psi's value search on the
-    canonical branches, and the walk runs only if some transversal has at
-    most that many.
+    False if none does.  A target other than the count of the self-inverse
+    map (hence odd prime n only) is first looked for on psi's canonical
+    branches, which hold an image of every transversal with the same count,
+    and the walk runs only if one of them hits it.
     """
     _check_bound(n)
     if not is_prime(n) or n <= 2:
@@ -746,11 +752,11 @@ def lex_least_with_count(
     start = time.perf_counter()
     engine, nodes_left = _Placement(n, mode), _NodeBudget(budget, start)
     nodes = pruned = 0
-    reachable = target >= count_triples(transversal_points(inverse_permutation(n)), n, mode)
+    reachable = target == count_triples(transversal_points(inverse_permutation(n)), n, mode)
     result, aborted = None, False
     for a, p in [] if reachable else _psi_branches(engine, "canonical"):
         _, w, p_nodes, p_pruned, aborted = _search_branch(
-            engine, p, target, nodes_left, anchor=a)
+            engine, p, target, nodes_left, "first", anchor=a)
         nodes, pruned = nodes + p_nodes, pruned + p_pruned
         reachable = w is not None
         if reachable or aborted:
@@ -781,7 +787,7 @@ def max_triples_quadfree_transversal(
     fixes sigma(0) = 0), with no limit: the cells that would complete a
     quadruple are blocked, so the walk visits only quadruple-free partial
     transversals, and the witness is the lex-least maximum.  A blocked cell
-    is neither a node nor a prune, so ``nodes_pruned`` is 0.
+    is not a node, and a node with a fully blocked later column is pruned.
     """
     _check_bound(n)
     start = time.perf_counter()

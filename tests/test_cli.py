@@ -175,6 +175,15 @@ def test_pack_subcommands(capsys):
     assert sum(report["result"]["partition"]) == 7
 
 
+def test_pack_exact_at_the_bounds(capsys):
+    # the largest input the CLI accepts, K = K_BOUND and L = L_BOUND
+    code, report, _ = run_json(capsys, "pack", "exact", "2000", "200")
+    assert code == EXIT_OK
+    assert report["result"]["value"] == 2000
+    assert report["result"]["optima"] == [[10] * 200]
+    assert report["result"]["optima_truncated"] is False
+
+
 def test_pack_out_of_range(capsys):
     code, _, err = run_cli(capsys, "pack", "closed", "10", "3")
     assert code == EXIT_USAGE and "error:" in err

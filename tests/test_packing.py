@@ -141,6 +141,35 @@ def test_t_exact_against_small_brute_force():
             assert t_exact(K, L).value == _brute_force_t(K, L), (K, L)
 
 
+def _all_optima(K, L):
+    """Every nonincreasing L-tuple summing to K with the least trip cost."""
+    def tuples(k, l, cap):
+        if l == 0:
+            if k == 0:
+                yield ()
+            return
+        for m in range(min(cap, k), -(-k // l) - 1, -1):
+            for rest in tuples(k - m, l - 1, m):
+                yield (m,) + rest
+
+    every = list(tuples(K, L, K))
+    best = min(trip_cost(parts) for parts in every)
+    return best, [parts for parts in every if trip_cost(parts) == best]
+
+
+def test_t_exact_optima_against_enumeration():
+    # the optima, their order and the truncation flag, at several caps
+    for L in range(1, 7):
+        for K in range(0, 41):
+            best, optima = _all_optima(K, L)
+            expected = sorted(optima, reverse=True)
+            for cap in (1, 2, 3, 64):
+                res = t_exact(K, L, optima_cap=cap)
+                assert res.value == best, (K, L)
+                assert res.optima == tuple(expected[:cap]), (K, L, cap)
+                assert res.truncated == (len(optima) > cap), (K, L, cap)
+
+
 def test_optimum_has_triangular_structure():
     # some optimum always uses only triangular-number parts C(k,2) on all
     # but possibly one line; verify by restricting the DP to triangular parts

@@ -432,6 +432,10 @@ def test_lex_least_not_found():
     out = lex_least_with_count(13, target=5)
     assert not out.found and out.witness is None and out.exact
     assert out.nodes_explored <= psi(13).nodes_explored
+    # a target above the self-inverse count (5) is looked for on the
+    # canonical branches before any walk from the empty prefix
+    out = lex_least_with_count(11, target=6, budget=SearchBudget(max_nodes=100_000))
+    assert not out.found and out.witness is None and out.exact
     with pytest.raises(NonPrimeModulus):
         lex_least_with_count(6)
 
@@ -494,6 +498,8 @@ def test_quadfree_transversal_reports_that_none_exists(n):
     out = max_triples_quadfree_transversal(n, ANY)
     assert (out.value, out.witness, out.found, out.exact) == (-1, None, False, True)
     assert out.note == "no quadruple-free transversal"
+    # the walk prunes the nodes that leave a later column no free cell
+    assert out.nodes_pruned > 0
 
 
 @pytest.mark.parametrize("n", range(1, 8))
