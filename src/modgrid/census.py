@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DegenerateInput, NonPrimeModulus, OutOfRange
 from .geometry import (
@@ -145,48 +145,24 @@ def _binomial_sum(lines: Counter, r: int) -> int:
     return sum(comb(_points_on(c), r) * m for c, m in Counter(lines.values()).items())
 
 
-def _collinear_pairs(
-    d: list[Point], g: list[int], n: int, mode: CollinearityMode
-) -> Iterator[tuple[int, int, int]]:
-    """(j, k, det) for each j < k with {p0, p0 + d_j, p0 + d_k} collinear, in
-    order.  The d_i are distinct, nonzero and reduced mod n, g[i] is the gcd
-    of n and the entries of d_i, and det is the one minor of d_j and d_k."""
-    for j, k in combinations(range(len(d)), 2):
-        (ax, ay), (bx, by) = d[j], d[k]
-        det = ax * by - bx * ay
-        if collinear_by_minors(det, math.gcd(g[j], g[k]), n, mode):
-            yield j, k, det
-
-
-def _anchored_counts(
-    d: list[Point], n: int, mode: CollinearityMode, quadruples: bool
-) -> tuple[int, int]:
-    """(triples, quadruples) of collinear subsets {p0} + T, T drawn from the
-    points p0 + d_i (as in _collinear_pairs).
-
-    Quadruples are counted only when ``quadruples`` is set."""
-    g = [math.gcd(n, dx, dy) for dx, dy in d]
-    triples = quads = 0
-    for j, k, det in _collinear_pairs(d, g, n, mode):
-        triples += 1
-        if quadruples:
-            (ax, ay), (bx, by) = d[j], d[k]
-            for l in range(k + 1, len(d)):
-                cx, cy = d[l]
-                minors = math.gcd(det, ax * cy - cx * ay, bx * cy - cx * by)
-                quads += collinear_by_minors(minors, math.gcd(g[j], g[k], g[l]), n, mode)
-    return triples, quads
-
-
 def _composite_counts(
     pts: list[Point], n: int, mode: CollinearityMode, quadruples: bool
 ) -> tuple[int, int]:
     triples = quads = 0
     for i, (x0, y0) in enumerate(pts):
         d = [((x - x0) % n, (y - y0) % n) for x, y in pts[i + 1:]]
-        t, q = _anchored_counts(d, n, mode, quadruples)
-        triples += t
-        quads += q
+        g = [math.gcd(n, dx, dy) for dx, dy in d]
+        for j, k in combinations(range(len(d)), 2):
+            (ax, ay), (bx, by) = d[j], d[k]
+            det = ax * by - bx * ay
+            if not collinear_by_minors(det, math.gcd(g[j], g[k]), n, mode):
+                continue
+            triples += 1
+            if quadruples:
+                for l in range(k + 1, len(d)):
+                    cx, cy = d[l]
+                    minors = math.gcd(det, ax * cy - cx * ay, bx * cy - cx * by)
+                    quads += collinear_by_minors(minors, math.gcd(g[j], g[k], g[l]), n, mode)
     return triples, quads
 
 

@@ -214,12 +214,14 @@ def jensen_lower_bound(K: int, L: int) -> float:
 
 
 def psi_lower_bound(n: int) -> int:
-    """ceil((n-1)/4) via the closed form at K = C(n,2), L = (n-1)^2/2."""
+    """ceil((n-1)/4) = T(K, L) at K = C(n,2), L = (n-1)^2/2, by the closed
+    form ceil((K-L)/2): K <= 3L reads n <= 3(n-1), and K - L = (n-1)/2.
+    It needs no DP, so none of the DP's bounds (L exceeds 200 from n = 23)."""
     if not is_prime(n) or n <= 2:
         raise NonPrimeModulus(f"psi_lower_bound requires an odd prime, got {n}")
     K = n * (n - 1) // 2
     L = (n - 1) ** 2 // 2
-    return t_closed_form(K, L)
+    return -((L - K) // 2)
 
 
 def spread_report(parts: Sequence[int]) -> SpreadReport:

@@ -43,7 +43,7 @@ The quadruple-free maximum ("max") walks with no limit and takes each
 completion with more triples than the last one taken, so the last taken is
 the lex-least maximum.  Quadruple-freeness is a blocking mark, not a test
 at each node.  Points 0, e, r and s are collinear exactly when one origin
-set holds e, r and s (the sets are subgroups: see _quad_line_masks).  So
+set holds e, r and s (the sets are subgroups: see _origin_sets).  So
 if P closes a triple with placed points Q and Q', the cells that would
 complete a quadruple are, translated by P, those of the sets in
 held[P - Q] & held[P - Q'].  Placing P marks their later cells used, as it
@@ -73,6 +73,23 @@ canonical form: McKay, J. Algorithms 26, 1998):
 
 Canonical branches are split at the third column, so that a pool has work
 to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
+
+Grid searches.  max_triple_free_subset and ct0_subsets run one DFS,
+_grid_search, over subsets S of the n^2 cells held as bitmasks.  Both
+counts are invariant under translation, so S starts as {(0, 0)}, and
+cells join in increasing order, from the later cells not blocked.  Choosing
+c takes d_q = held[q - c] for each q in S.  With no collinear triple
+allowed ("free"), c blocks the translate by c of the sets in the OR of the
+d_q; with no quadruple ("quad"), each nonzero d_q & d_q' closes a triple,
+and c blocks the translate of the sets in their OR, as in quad_block.
+"free" maximises |S|, takes only larger sets, so keeps the lex-least
+maximum, and prunes when |S| plus the candidates left is at most the best.
+"quad" maximises triples, ties going to fewer points, then the least mask,
+from the empty set; at prime n it prunes when C(m, 2) // 3 is below the
+best, m the least of |S| plus the candidates left and 3n.  Proof: each pair
+lies on one line; in a quadruple-free set a line closing a triple holds 3
+points and 3 pairs, and any other line closes none, so m points close at
+most C(m, 2) / 3 triples.  Each row is a line, so m <= 3n.
 """
 from __future__ import annotations
 
@@ -85,11 +102,11 @@ import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
-from typing import Iterator, Optional, Sequence
+from functools import lru_cache, reduce
+from operator import and_, or_
+from typing import Callable, Optional, Sequence
 
-from .census import _collinear_pairs, count_quadruples, count_triples, transversal_points
+from .census import count_quadruples, count_triples, transversal_points
 from .constructions import inverse_permutation
 from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from .geometry import DEFAULT_MODE, CollinearityMode, Point
@@ -809,50 +826,100 @@ def max_triples_quadfree_transversal(
 
 
 # ---------------------------------------------------------------------------
-# subset searches
+# grid searches
 # ---------------------------------------------------------------------------
 
 
-def _quad_line_masks(n: int, mode: CollinearityMode) -> list[int]:
-    """Bitmasks (over point id x*n + y) of the cosets with at least 4 points
-    of the origin sets (see _origin_sets), which are subgroups of the grid.
+def _grid_step(n: int, mode: CollinearityMode) -> Callable[..., tuple[int, int]]:
+    """step(cells, c, quad): (triples, block) when the cell c joins
+    ``cells``, the triples closed (with ``quad`` only) and the mask, bit
+    x*n + y for (x, y), of the cells blocked (see the module docstring)."""
+    nn = n * n
+    full = (1 << nn) - 1
+    # keep[y]: the cells of columns >= y in every row
+    keep = [sum(((1 << n) - (1 << y)) << (x * n) for x in range(n)) for y in range(n)]
+    # held[e]: bit k set when origin set k holds e, as in _Placement
+    held = [0] * nn
+    set_masks = []
+    for k, cells in enumerate(_origin_sets(n, mode)):
+        set_masks.append(sum(1 << (x * n + y) for x, y in cells))
+        for x, y in cells:
+            held[x * n + y] |= 1 << k
 
-    Points are collinear (per mode) iff one coset holds them all; under
-    ANY_LINE a coset can hold smaller lines, which it makes redundant.
-    """
-    masks: set[int] = set()
-    for cells in _origin_sets(n, mode):
-        if len(cells) < 4:
-            continue
-        covered = bytearray(n * n)
-        for tx in range(n):
-            for ty in range(n):
-                if covered[tx * n + ty]:
-                    continue
-                ids = [(x + tx) % n * n + (y + ty) % n for x, y in cells]
-                for i in ids:
-                    covered[i] = 1
-                masks.add(sum(1 << i for i in ids))
-    return list(masks)
+    @lru_cache(maxsize=None)
+    def union(h: int) -> int:
+        return reduce(or_, [m for k, m in enumerate(set_masks) if h >> k & 1], 0)
+
+    def step(cells: Sequence[Point], c: int, quad: bool) -> tuple[int, int]:
+        x, y = divmod(c, n)
+        d = [held[(qx - x) % n * n + (qy - y) % n] for qx, qy in cells]
+        if quad:
+            d = [g for g in itertools.starmap(and_, itertools.combinations(d, 2)) if g]
+        h = reduce(or_, d, 0)
+        # the union translated by c: all bits rotated by x*n, then each row by y
+        M = union(h)
+        M = ((M << x * n) | (M >> (nn - x * n))) & full
+        M = ((M << y) & keep[y]) | ((M >> (n - y)) & (full ^ keep[y]))
+        return len(d) if quad else 0, M
+
+    return step
 
 
-def _pairs_collinear_with(
-    p: Point, others: Sequence[Point], n: int, mode: CollinearityMode
-) -> Iterator[tuple[int, int, int]]:
-    """The pairs {q1, q2} of ``others`` collinear with p, lazily (as from
-    census._collinear_pairs)."""
-    d = [((x - p[0]) % n, (y - p[1]) % n) for x, y in others]
-    return _collinear_pairs(d, [math.gcd(n, dx, dy) for dx, dy in d], n, mode)
+def _grid_search(
+    n: int, mode: CollinearityMode, quad: bool, budget: Optional[SearchBudget]
+) -> SearchOutcome:
+    """The DFS of the grid searches: "quad" with ``quad``, else "free"."""
+    _check_bound(n, COMPOSITE_BOUND, least=1 if quad else 2)
+    start = time.perf_counter()
+    if n == 1:
+        return SearchOutcome(0, [(0, 0)], True, elapsed=time.perf_counter() - start)
+    step = _grid_step(n, mode)
+    nodes_left = _NodeBudget(budget, start)
+    # the prime bound's cap on |S|: each row is a line, with at most 3 points
+    cap = 3 * n if quad and is_prime(n) else 0
+    # free: (size, 0, 0); quad: (triples, -size, -mask), the empty set first
+    best: tuple = (0, 0, 0)
+    best_mask = nodes = pruned = 0
+    cells: list[Point] = []
 
+    def rec(cand: int, mask: int, triples: int) -> None:
+        nonlocal best, best_mask, nodes, pruned
+        size = len(cells) + 1
+        while cand:
+            m = size - 1 + cand.bit_count()
+            if (cap and math.comb(min(m, cap), 2) // 3 < best[0]) if quad else m <= best[0]:
+                pruned += 1
+                return
+            low = cand & -cand
+            cand ^= low
+            nodes_left.charge()
+            nodes += 1
+            c = low.bit_length() - 1
+            t, block = step(cells, c, quad)
+            key = (triples + t, -size, -(mask | low)) if quad else (size, 0, 0)
+            if key > best:
+                best, best_mask = key, mask | low
+            cells.append(divmod(c, n))
+            rec(cand & ~block, mask | low, triples + t)
+            cells.pop()
+            if size == 1:
+                # a translation takes every set to one holding (0, 0)
+                return
 
-def _mask_points(mask: int, n: int) -> list[Point]:
-    return [(i // n, i % n) for i in range(n * n) if mask >> i & 1]
-
-
-#: ct0_subsets keeps every subset of each size for n up to _CT0_EXACT_MAX,
-#: and the _CT0_BEAM_WIDTH best beyond
-_CT0_EXACT_MAX = 4
-_CT0_BEAM_WIDTH = 16
+    aborted = False
+    try:
+        rec((1 << n * n) - 1, 0, 0)
+    except _BudgetExhausted:
+        aborted = True
+    witness = [divmod(i, n) for i in range(n * n) if best_mask >> i & 1]
+    # (value, forbidden subsets) of the witness
+    recount = ((count_triples(witness, n, mode), count_quadruples(witness, n, mode)) if quad
+               else (len(witness), count_triples(witness, n, mode)))
+    if recount != (best[0], 0):
+        raise AssertionError("grid search witness failed recount")
+    note = "lower bound: search budget exhausted" if aborted else ""
+    return SearchOutcome(best[0], witness, not aborted, nodes, pruned,
+                         time.perf_counter() - start, note=note)
 
 
 def ct0_subsets(
@@ -860,61 +927,15 @@ def ct0_subsets(
     mode: CollinearityMode = DEFAULT_MODE,
     budget: Optional[SearchBudget] = None,
 ) -> SearchOutcome:
-    """Max triple count over quadruple-free subsets of the full grid.
+    """Maximum triple count over the quadruple-free subsets of the grid.
 
-    Grows quadruple-free subsets one point at a time, keeping all of each
-    size for n <= 4 (exact, since quadruple-freeness is hereditary) and the
-    16 with the most triples beyond (a beam: exact = False, a lower bound).
-    One node is charged per new subset; when the budget runs out the best
-    subset so far is returned with exact = False.
+    The "quad" grid search (see the module docstring), exact when it
+    finishes: ct0(5) = 16 in under a second.  The witness holds (0, 0), or
+    is empty when no set has a triple.  Prime n >= 7 and composite n >= 6
+    (unit lines) need a budget; on exhaustion the best set so far is
+    returned with exact = False, a lower bound.
     """
-    _check_bound(n, COMPOSITE_BOUND)
-    start = time.perf_counter()
-    if n == 1:
-        return SearchOutcome(0, [(0, 0)], True, elapsed=time.perf_counter() - start)
-    nodes_left = _NodeBudget(budget, start)
-    quad_lines = _quad_line_masks(n, mode)
-    nodes = 0
-    best, best_mask = 0, 0
-    exact = n <= _CT0_EXACT_MAX
-    width = None if exact else _CT0_BEAM_WIDTH
-    note = "" if exact else "lower bound: heuristic beam search"
-
-    # mask is quadruple-free but for its point ``bit``: test the lines through it
-    def quadfree(mask: int, bit: int) -> bool:
-        return all((mask & lm).bit_count() <= 3 for lm in quad_lines if lm & bit)
-
-    try:
-        beam: list[tuple[int, int]] = [(0, 0)]  # (triples, mask)
-        while beam:
-            candidates: dict[int, int] = {}
-            for t, mask in beam:
-                pts = _mask_points(mask, n)
-                for pid in range(n * n):
-                    bit = 1 << pid
-                    if mask & bit:
-                        continue
-                    new_mask = mask | bit
-                    if new_mask in candidates or not quadfree(new_mask, bit):
-                        continue
-                    nodes_left.charge()
-                    nodes += 1
-                    p = (pid // n, pid % n)
-                    candidates[new_mask] = t + sum(
-                        1 for _ in _pairs_collinear_with(p, pts, n, mode))
-            if not candidates:
-                break
-            ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-            beam = [(t, m) for m, t in ranked[:width]]
-            if beam[0][0] > best:
-                best, best_mask = beam[0]
-    except _BudgetExhausted:
-        exact, note = False, "lower bound: search budget exhausted"
-    witness = _mask_points(best_mask, n)
-    if (count_triples(witness, n, mode) if witness else 0) != best:
-        raise AssertionError("ct0 witness failed recount")
-    return SearchOutcome(best, witness, exact, nodes, 0, time.perf_counter() - start,
-                         note=note)
+    return _grid_search(n, mode, True, budget)
 
 
 def max_triple_free_subset(
@@ -922,47 +943,14 @@ def max_triple_free_subset(
     mode: CollinearityMode = DEFAULT_MODE,
     budget: Optional[SearchBudget] = None,
 ) -> SearchOutcome:
-    """Maximum-size subset of the grid with no collinear triple (exact DFS)."""
-    _check_bound(n, COMPOSITE_BOUND, least=2)
-    start = time.perf_counter()
-    nodes_left = _NodeBudget(budget, start)
-    pts = [(x, y) for x in range(n) for y in range(n)]
-    total = len(pts)
-    chosen: list[Point] = []
-    best = 0
-    witness: list[Point] = []
-    nodes = 0
-    pruned = 0
+    """Maximum size of a subset of the grid with no collinear triple.
 
-    def rec(idx: int) -> None:
-        nonlocal nodes, pruned, best, witness
-        if len(chosen) > best:
-            best = len(chosen)
-            witness = chosen.copy()
-        for i in range(idx, total):
-            if len(chosen) + (total - i) <= best:
-                pruned += 1
-                return
-            nodes_left.charge()
-            nodes += 1
-            p = pts[i]
-            if any(_pairs_collinear_with(p, chosen, n, mode)):
-                pruned += 1
-                continue
-            chosen.append(p)
-            rec(i + 1)
-            chosen.pop()
-
-    aborted = False
-    try:
-        rec(0)
-    except _BudgetExhausted:
-        aborted = True
-    elapsed = time.perf_counter() - start
-    if witness and count_triples(witness, n, mode) != 0:
-        raise AssertionError("triple-free witness failed recount")
-    note = "" if not aborted else "lower bound: search budget exhausted"
-    return SearchOutcome(best, witness, not aborted, nodes, pruned, elapsed, note=note)
+    The "free" grid search, exact when it finishes; the witness is the
+    lex-least maximum.  At prime p the value is p + 1, an arc of AG(2, p).
+    n >= 9 needs a budget; on exhaustion the best set so far is returned
+    with exact = False, a lower bound.
+    """
+    return _grid_search(n, mode, False, budget)
 
 
 def verify_theorem1(n: int) -> bool:

@@ -164,8 +164,10 @@ def run_verification(level: str = "quick") -> tuple[list[CheckResult], bool]:
     _check(results, "max triple-free subset, n=2", 4, max_triple_free_subset(2).value)
     _check(results, "max triple-free subset, n=3", 4, max_triple_free_subset(3).value)
     if full:
-        _check(results, "max triple-free subset, n=5 (<= 7)", 6,
-               max_triple_free_subset(5).value)
+        # an arc of AG(2, p) has at most p + 1 points, and a conic has p + 1
+        for p in (5, 7):
+            _check(results, f"max triple-free subset, n={p} (= p + 1)", p + 1,
+                   max_triple_free_subset(p).value)
     quad_ns = range(1, 8) if full else range(1, 7)
     bad = []
     for n in quad_ns:

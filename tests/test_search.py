@@ -11,16 +11,17 @@ from modgrid.census import count_quadruples, count_triples, transversal_points
 from modgrid.constructions import g_permutation
 from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from modgrid.geometry import CollinearityMode
-from modgrid.geometry import collinear_set, collinear_triple
+from modgrid.geometry import collinear_triple
 from modgrid.modring import is_prime
+from modgrid.packing import psi_lower_bound
 from modgrid.search import (
     BRUTE_FORCE_BOUND,
     SEARCH_BOUND,
     SearchBudget,
+    _grid_step,
     _Placement,
     _orbit_representatives,
     _psi_branches,
-    _quad_line_masks,
     ct0_subsets,
     lex_least_with_count,
     max_triple_free_subset,
@@ -273,7 +274,7 @@ BUDGETED_SEARCHES = {
     "lex_least": lambda budget: lex_least_with_count(7, budget=budget),
     "quadfree": lambda budget: max_triples_quadfree_transversal(9, budget=budget),
     "ct0_exact": lambda budget: ct0_subsets(4, budget=budget),
-    "ct0_beam": lambda budget: ct0_subsets(5, budget=budget),
+    "ct0_prime": lambda budget: ct0_subsets(5, budget=budget),
     "triple_free": lambda budget: max_triple_free_subset(4, budget=budget),
 }
 
@@ -558,33 +559,69 @@ def test_ct0_exact_small():
         assert count_quadruples(out.witness, n, mode) == 0
 
 
-def test_ct0_beam_is_inexact_lower_bound():
-    out = ct0_subsets(5)
-    assert not out.exact
-    assert out.note.startswith("lower bound")
-    assert count_triples(out.witness, 5) == out.value
-    assert count_quadruples(out.witness, 5) == 0
+def test_ct0_5_is_exact():
+    for mode in (UNIT, ANY):
+        out = ct0_subsets(5, mode)
+        assert out.exact and out.value == 16 and out.note == ""
+        assert count_triples(out.witness, 5, mode) == 16
+        assert count_quadruples(out.witness, 5, mode) == 0
 
 
-def test_ct0_beam_stops_at_a_one_node_budget():
+def test_ct0_stops_at_a_one_node_budget():
     out = ct0_subsets(10, budget=SearchBudget(max_nodes=1))
     assert not out.exact and out.nodes_explored == 1
 
 
 @st.composite
-def _four_points(draw):
+def _accepted_set(draw, quad):
+    """A set the grid walk accepts: (0, 0), then drawn cells in increasing
+    order, each kept unless a cell already kept blocks it; with the triples
+    closed and the cells blocked on the way."""
     n = draw(st.integers(2, 8))
-    ids = draw(st.lists(st.integers(0, n * n - 1), min_size=4, max_size=4, unique=True))
-    return n, [divmod(i, n) for i in ids]
+    mode = draw(st.sampled_from([UNIT, ANY]))
+    step = _grid_step(n, mode)
+    cells, triples, blocked = [], 0, 0
+    for c in [0] + sorted(draw(st.sets(st.integers(1, n * n - 1), max_size=3 * n))):
+        if not blocked >> c & 1:
+            t, block = step(cells, c, quad)
+            cells.append(divmod(c, n))
+            triples, blocked = triples + t, blocked | block
+    return n, mode, cells, triples, blocked
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_four_points(), mode=st.sampled_from([UNIT, ANY]))
-def test_quad_line_masks_hold_exactly_the_collinear_quadruples(case, mode):
-    n, pts = case
-    mask = sum(1 << (x * n + y) for x, y in pts)
-    on_line = any(mask & lm == mask for lm in _quad_line_masks(n, mode))
-    assert on_line == collinear_set(pts, n, mode)
+@settings(max_examples=150, deadline=None)
+@given(case=_accepted_set(False))
+def test_triple_free_blocks_are_the_cells_that_close_a_triple(case):
+    n, mode, cells, triples, blocked = case
+    assert triples == count_triples(cells, n, mode) == 0
+    for x in set(itertools.product(range(n), repeat=2)) - set(cells):
+        closes = count_triples(cells + [x], n, mode) > 0
+        assert bool(blocked >> (x[0] * n + x[1]) & 1) == closes, (n, mode, cells, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_accepted_set(True))
+def test_quad_blocks_are_the_cells_that_close_a_quadruple(case):
+    n, mode, cells, triples, blocked = case
+    assert count_quadruples(cells, n, mode) == 0
+    assert triples == count_triples(cells, n, mode)
+    for x in set(itertools.product(range(n), repeat=2)) - set(cells):
+        closes = count_quadruples(cells + [x], n, mode) > 0
+        assert bool(blocked >> (x[0] * n + x[1]) & 1) == closes, (n, mode, cells, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_quadruple_free_sets_at_prime_n_meet_the_pair_bound(data):
+    # ct0_subsets' prune: a quadruple-free set of m points at prime n has at
+    # most C(m, 2) // 3 collinear triples
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    order = data.draw(st.permutations(list(itertools.product(range(p), repeat=2))))
+    cells: list = []
+    for x in order:
+        if not count_quadruples(cells + [x], p):
+            cells.append(x)
+    assert count_triples(cells, p) <= math.comb(len(cells), 2) // 3
 
 
 def test_ct0_honours_budget():
@@ -594,11 +631,34 @@ def test_ct0_honours_budget():
     assert out.note == "lower bound: search budget exhausted"
     assert out.value <= full.value
     assert count_triples(out.witness, 4) == out.value
-    beam = ct0_subsets(5, budget=SearchBudget(max_nodes=40))
-    assert not beam.exact and beam.nodes_explored == 40
-    assert beam.note == "lower bound: search budget exhausted"
+    prime = ct0_subsets(5, budget=SearchBudget(max_nodes=40))
+    assert not prime.exact and prime.nodes_explored == 40
+    assert prime.note == "lower bound: search budget exhausted"
     timed = ct0_subsets(4, budget=SearchBudget(max_time=0.0))
     assert not timed.exact and timed.nodes_explored == 0
+
+
+# (value, witness) of max_triple_free_subset for n = 2..6, as the DFS over
+# all cells in order found them
+TRIPLE_FREE_SMALL = {
+    (2, UNIT): (4, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (3, UNIT): (4, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (4, UNIT): (6, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]),
+    (5, UNIT): (6, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (4, 3)]),
+    (6, UNIT): (8, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2), (3, 5), (5, 3)]),
+    (2, ANY): (4, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (3, ANY): (4, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (4, ANY): (4, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (5, ANY): (6, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (4, 3)]),
+    (6, ANY): (4, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("n,mode", sorted(TRIPLE_FREE_SMALL, key=str))
+def test_max_triple_free_subset_pinned(n, mode):
+    out = max_triple_free_subset(n, mode)
+    assert out.exact
+    assert (out.value, out.witness) == TRIPLE_FREE_SMALL[n, mode]
 
 
 def test_max_triple_free_subset():
@@ -614,12 +674,29 @@ def test_max_triple_free_subset():
         max_triple_free_subset(1)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_max_triple_free_subset_is_an_arc_of_p_plus_one_points(p):
+    # an arc of AG(2, p) has at most p + 1 points, and a conic has p + 1
+    out = max_triple_free_subset(p)
+    assert out.exact and out.value == p + 1
+    assert count_triples(out.witness, p) == 0
+
+
 def test_verify_theorem1():
     for p in (3, 5, 7, 11):
         assert verify_theorem1(p)
     assert verify_theorem1(13)
     with pytest.raises(NonPrimeModulus):
         verify_theorem1(9)
+
+
+def test_verify_theorem1_for_every_prime_the_searches_accept():
+    # beyond n = 11 it rests on psi_lower_bound, which needs no DP bounds
+    primes = [p for p in range(3, SEARCH_BOUND) if is_prime(p)]
+    assert primes[-1] == 127
+    for p in primes:
+        assert psi_lower_bound(p) == -(-(p - 1) // 4), p
+        assert verify_theorem1(p), p
 
 
 def test_verify_theorem1_does_not_assume_it(monkeypatch):
