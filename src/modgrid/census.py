@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .errors import DegenerateInput, NonPrimeModulus, OutOfRange
+from .errors import DegenerateInput, OutOfRange
 from .geometry import (
     DEFAULT_MODE,
     INF,
@@ -37,7 +37,7 @@ from .geometry import (
     collinear_by_minors,
     collinear_set,
 )
-from .modring import is_prime
+from .modring import is_prime, require_prime
 
 __all__ = [
     "validate_transversal",
@@ -168,8 +168,7 @@ def _composite_counts(
 
 def line_decomposition(points: Sequence[Point], n: int) -> TripleCensus:
     """Full line census of a point set (prime n): every line with k >= 2."""
-    if not is_prime(n):
-        raise NonPrimeModulus(f"line_decomposition requires prime n, got {n}")
+    require_prime(n, "line_decomposition")
     lines = _pairs_per_line(_checked_points(points, n), n)
     return TripleCensus(_binomial_sum(lines, 3), _binomial_sum(lines, 4), n, lines)
 
@@ -200,8 +199,7 @@ def slope_histogram(sigma: Sequence[int], n: int) -> dict:
     For a permutation graph, slopes 0 and INF never occur and the counts
     total C(n, 2).
     """
-    if not is_prime(n):
-        raise NonPrimeModulus(f"slope_histogram requires prime n, got {n}")
+    require_prime(n, "slope_histogram")
     hist: dict = {}
     for key, pairs in _pairs_per_line(transversal_points(sigma), n).items():
         s = INF if key >= n * n else key // n

@@ -91,11 +91,7 @@ def _parse_transversal(text: str) -> list[int]:
 def _parse_points_file(path: str, n: int) -> list[tuple[int, int]]:
     points = []
     seen = set()
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(str(exc)) from None
-    with fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -191,6 +187,8 @@ def cmd_table(args) -> int:
         raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
     mode = CollinearityMode(args.mode)
     budget = _budget_from_args(args)
+    # an unwritable path fails here, before the table is computed
+    out = open(args.out, "w", encoding="utf-8") if args.out else None
     rows = []
     any_inexact = False
     for n in range(1, args.max_n + 1):
@@ -204,9 +202,9 @@ def cmd_table(args) -> int:
     report = _report("table", {"max_n": args.max_n, "mode": mode.value},
                      result, started, exact=not any_inexact)
     report["csv"] = csv_rows
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_rows) + "\n")
+    if out:
+        with out:
+            out.write("\n".join(csv_rows) + "\n")
     _emit(report, args.format,
           "psi table: " + " ".join(f"{r['n']}:{r['psi']}" for r in rows))
     return EXIT_OK if not any_inexact else EXIT_BUDGET
@@ -397,7 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ModGridError) as exc:
+    except (UsageError, ModGridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

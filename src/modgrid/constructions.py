@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .census import validate_transversal
-from .errors import BadResidueClass, DegenerateParams, NonPrimeModulus
-from .modring import is_prime, mod_inverse
+from .errors import BadResidueClass, DegenerateParams
+from .modring import mod_inverse, require_prime
 
 __all__ = [
     "MobiusParams",
@@ -37,21 +37,16 @@ class MobiusParams:
     d: int
 
 
-def _require_odd_prime(n: int) -> None:
-    if not is_prime(n) or n <= 2:
-        raise NonPrimeModulus(f"construction requires an odd prime, got {n}")
-
-
 def inverse_permutation(n: int) -> list[int]:
     """x -> x^{-1} for x != 0, 0 -> 0; exactly (n-1)/2 triples, no quadruples."""
-    _require_odd_prime(n)
+    require_prime(n, "inverse_permutation", odd=True)
     sigma = [0] + [pow(x, -1, n) for x in range(1, n)]
     return validate_transversal(sigma)
 
 
 def mobius_permutation(n: int, params: MobiusParams) -> list[int]:
     """x -> (a*x + b)*(c*x + d)^{-1}, pole -d/c -> a/c; a bijection of Z_n."""
-    _require_odd_prime(n)
+    require_prime(n, "mobius_permutation", odd=True)
     a, b, c, d = (params.a % n, params.b % n, params.c % n, params.d % n)
     if c == 0:
         raise DegenerateParams("c = 0: map is affine, pole patch undefined")
@@ -70,7 +65,7 @@ def mobius_permutation(n: int, params: MobiusParams) -> list[int]:
 
 def cubic_permutation(n: int) -> list[int]:
     """x -> x^3 mod n for prime n = 2 mod 3; quadruple-free transversal."""
-    _require_odd_prime(n)
+    require_prime(n, "cubic_permutation", odd=True)
     if n % 3 != 2:
         raise BadResidueClass(f"n = 2 mod 3 required for the cube map, got {n}")
     sigma = [pow(x, 3, n) for x in range(n)]
@@ -79,5 +74,5 @@ def cubic_permutation(n: int) -> list[int]:
 
 def g_permutation(n: int) -> list[int]:
     """x -> x/(x-1) for x != 1, 1 -> 1; the conjectured lex-least optimum."""
-    _require_odd_prime(n)
+    require_prime(n, "g_permutation", odd=True)
     return mobius_permutation(n, MobiusParams(1, 0, 1, n - 1))

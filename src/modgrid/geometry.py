@@ -38,8 +38,8 @@ from enum import Enum
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .errors import DegenerateInput, DegeneratePair, NonPrimeModulus
-from .modring import is_prime, mod_inverse
+from .errors import DegenerateInput, DegeneratePair
+from .modring import mod_inverse, require_prime
 
 __all__ = [
     "INF",
@@ -99,11 +99,6 @@ class ModularLine:
         ]
 
 
-def _require_prime(n: int) -> None:
-    if not is_prime(n):
-        raise NonPrimeModulus(f"operation requires a prime modulus, got {n}")
-
-
 def _reduce(p: Point, n: int) -> Point:
     return (p[0] % n, p[1] % n)
 
@@ -117,7 +112,7 @@ def _require_distinct(points: Sequence[Point], n: int) -> list[Point]:
 
 def pair_slope(p: Point, q: Point, n: int):
     """Slope of the pair (rise over run): (qy-py)*(qx-px)^-1, or INF if vertical."""
-    _require_prime(n)
+    require_prime(n, "pair_slope")
     p, q = _reduce(p, n), _reduce(q, n)
     if p == q:
         raise DegeneratePair(f"pair_slope needs distinct points, got {p} twice")
@@ -129,7 +124,7 @@ def pair_slope(p: Point, q: Point, n: int):
 
 def line_through(p: Point, q: Point, n: int) -> ModularLine:
     """The unique canonical line through two distinct points (prime n only)."""
-    _require_prime(n)
+    require_prime(n, "line_through")
     p, q = _reduce(p, n), _reduce(q, n)
     if p == q:
         raise DegeneratePair(f"line_through needs distinct points, got {p} twice")

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotInvertible
+from .errors import NonPrimeModulus, NotInvertible
 
-__all__ = ["mod_inverse", "is_prime"]
+__all__ = ["mod_inverse", "is_prime", "require_prime"]
 
 
 def mod_inverse(a: int, n: int) -> int:
@@ -44,3 +44,10 @@ def is_prime(n: int) -> bool:
             return False
         f += 6
     return True
+
+
+def require_prime(n: int, caller: str, odd: bool = False) -> None:
+    """Raise NonPrimeModulus, naming ``caller``, unless n is prime (an odd
+    prime with ``odd``)."""
+    if not is_prime(n) or odd and n == 2:
+        raise NonPrimeModulus(f"{caller} requires {'an odd' if odd else 'a'} prime, got {n}")

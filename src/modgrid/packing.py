@@ -13,8 +13,8 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .errors import BoundExceeded, DegenerateInput, NonPrimeModulus, OutOfRange
-from .modring import is_prime
+from .errors import BoundExceeded, DegenerateInput, OutOfRange
+from .modring import require_prime
 
 __all__ = [
     "tau",
@@ -217,8 +217,7 @@ def psi_lower_bound(n: int) -> int:
     """ceil((n-1)/4) = T(K, L) at K = C(n,2), L = (n-1)^2/2, by the closed
     form ceil((K-L)/2): K <= 3L reads n <= 3(n-1), and K - L = (n-1)/2.
     It needs no DP, so none of the DP's bounds (L exceeds 200 from n = 23)."""
-    if not is_prime(n) or n <= 2:
-        raise NonPrimeModulus(f"psi_lower_bound requires an odd prime, got {n}")
+    require_prime(n, "psi_lower_bound", odd=True)
     K = n * (n - 1) // 2
     L = (n - 1) ** 2 // 2
     return -((L - K) // 2)

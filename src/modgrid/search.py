@@ -21,12 +21,12 @@ point Q, 1 to every later cell collinear with Q and P, from one mask per
 difference P - Q built once per search: the union of the sets through the
 origin that hold the difference (see _origin_sets), the line of that slope
 for prime n.  Differences held by the same sets share one mask of 2n^2
-bytes: n masks for prime n, at most 338 for composite n <= 64.  Cells of
-used values, and cells a branch excludes (below), carry a blocking mark,
-so a row minimum is a minimum over free values.  A is packed into one int
-of 16-bit fields (see _Placement), so an update is a few big-int
-operations, and each descent builds a new matrix from its parent's:
-backtracking needs no undo.
+bytes: n masks for prime n, at most 754 for composite n <= 128 (n = 120,
+unit lines).  Cells of used values, and cells a branch excludes (below),
+carry a blocking mark, so a row minimum is a minimum over free values.  A
+is packed into one int of 16-bit fields (see _Placement), so an update is
+a few big-int operations, and each descent builds a new matrix from its
+parent's: backtracking needs no undo.
 
 One walk, _search_branch, runs every transversal search, under one of
 three objectives.  psi runs it in two phases.  The value phase ("min")
@@ -108,14 +108,13 @@ from typing import Callable, Optional, Sequence
 
 from .census import count_quadruples, count_triples, transversal_points
 from .constructions import inverse_permutation
-from .errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
+from .errors import BoundExceeded, CheckpointMismatch, OutOfRange
 from .geometry import DEFAULT_MODE, CollinearityMode, Point
-from .modring import is_prime
+from .modring import is_prime, require_prime
 from .packing import psi_lower_bound
 
 __all__ = [
     "SEARCH_BOUND",
-    "COMPOSITE_BOUND",
     "BRUTE_FORCE_BOUND",
     "SearchBudget",
     "SearchOutcome",
@@ -146,6 +145,11 @@ class SearchBudget:
     max_nodes: Optional[int] = None
     max_time: Optional[float] = None
     workers: int = 1
+
+    def __post_init__(self):
+        for name in ("max_nodes", "max_time"):
+            if (getattr(self, name) or 0) < 0:
+                raise OutOfRange(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -227,15 +231,10 @@ class _NodeBudget:
             self.left -= 1
 
 
-#: largest n the transversal searches accept: the cost-matrix fields are 16
-#: bits, and every pair count C(n-1, 2) must stay below the used mark 2**15
+#: largest n every search accepts.  The cost-matrix fields are 16 bits, and
+#: every pair count C(n-1, 2) must stay below the used mark 2**15, which alone
+#: would allow n <= 257; 128 bounds the memory of the masks and block tables
 SEARCH_BOUND = 128
-
-#: largest composite n the searches accept.  It is not a memory limit: the
-#: transversal searches' masks take 2.8 MB at n = 64, against 13 MB at the
-#: accepted prime 127.  It stays so that no accepted input changes.  The grid
-#: searches, which scan subsets of all n^2 points, accept no n above it
-COMPOSITE_BOUND = 64
 
 #: largest n psi_brute_force accepts: it enumerates all n! transversals
 #: without a budget (n = 9 takes about 35 s)
@@ -246,42 +245,43 @@ _FIELD = 16
 
 def _check_bound(n: int, bound: int = SEARCH_BOUND, least: int = 1) -> None:
     """The entry check of every search: raise OutOfRange for n below
-    ``least``, and BoundExceeded for n above ``bound`` or composite n above
-    COMPOSITE_BOUND."""
+    ``least``, and BoundExceeded for n above ``bound``."""
     if n < least:
         raise OutOfRange(f"n must be >= {least}, got {n}")
-    if n > bound or (n > COMPOSITE_BOUND and not is_prime(n)):
-        raise BoundExceeded(f"search for n={n} exceeds bound "
-                            f"{bound if n > bound else COMPOSITE_BOUND}")
+    if n > bound:
+        raise BoundExceeded(f"search for n={n} exceeds bound {bound}")
 
 
-def _origin_sets(n: int, mode: CollinearityMode) -> list[list[Point]]:
-    """Point sets through the origin such that 0, e and r are collinear (per
-    mode) iff one set holds both e and r.
+def _origin_sets(n: int, mode: CollinearityMode) -> tuple[list[list[Point]], list[int]]:
+    """(sets, held): point sets through the origin such that 0, e and r are
+    collinear (per mode) iff one set holds both e and r, and the index of
+    the differences, bit k of ``held[x*n + y]`` set when set k holds (x, y),
+    for all n^2 cells.
 
     UNIT_LINE: the unit lines through 0, the cyclic subgroups {t*u} of
     primitive u, psi(n) of them.  ANY_LINE: 0, e, r are collinear iff
     det(e, r) = 0 mod some prime p | n, that is iff e and r fall mod p on
     one of the p + 1 lines through 0 of (Z_p)^2; one set per such line.
     """
+    held = [0] * (n * n)
     if mode == CollinearityMode.ANY_LINE:
-        return [
+        candidates = (
             [(x, y) for x in range(n) for y in range(n) if (x * uy - y * ux) % p == 0]
             for p in range(2, n + 1) if n % p == 0 and is_prime(p)
             for ux, uy in [(0, 1)] + [(1, s) for s in range(p)]
-        ]
-    seen = bytearray(n * n)
-    lines = []
-    for ux in range(n):
-        for uy in range(n):
-            if seen[ux * n + uy] or math.gcd(n, ux, uy) != 1:
-                continue
-            # every primitive point of the line generates the same line
-            line = [(t * ux % n, t * uy % n) for t in range(n)]
-            for x, y in line:
-                seen[x * n + y] = 1
-            lines.append(line)
-    return lines
+        )
+    else:
+        # every primitive point of a unit line generates it and lies on no
+        # other, so one not yet in ``held`` starts a new line
+        candidates = ([(t * ux % n, t * uy % n) for t in range(n)]
+                      for ux in range(n) for uy in range(n)
+                      if not held[ux * n + uy] and math.gcd(n, ux, uy) == 1)
+    sets: list[list[Point]] = []
+    for cells in candidates:
+        for x, y in cells:
+            held[x * n + y] |= 1 << len(sets)
+        sets.append(cells)
+    return sets, held
 
 
 class _Placement:
@@ -316,18 +316,12 @@ class _Placement:
                      for v in range(n)]
         self.wrap = [self.keep[0] ^ k for k in self.keep]
         self._blocks: dict[int, list[int]] = {}
-        # column 0 is P's own, so differences with dx = 0 never occur; the
-        # sets are closed under negation, so Q = -e lies in the same sets as e.
-        # held[e] has bit k set when origin set k holds e
-        self.held = [0] * nn
-        self._set_masks = []
-        for k, cells in enumerate(_origin_sets(n, mode)):
-            cells = [(x, y) for x, y in cells if x]
-            self._set_masks.append(self.mask((x - 1, y) for x, y in cells))
-            for x, y in cells:
-                self.held[x * n + y] |= 1 << k
+        # the sets are closed under negation, so Q = -e lies in the same sets
+        # as e; column 0 is P's own, so differences with dx = 0 never occur
+        sets, self.held = _origin_sets(n, mode)
+        self._set_masks = [self.mask((x - 1, y) for x, y in cells if x) for cells in sets]
         self._unions: dict[int, int] = {}
-        self.pairs = [self.union(h) for h in self.held]
+        self.pairs = [0] * n + [self.union(h) for h in self.held[n:]]
 
     def union(self, h: int) -> int:
         """The union of the origin sets whose bits are set in ``h``, rows as
@@ -568,10 +562,15 @@ def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[i
 
 
 def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) -> dict:
+    """The checkpoint at ``path``; CheckpointMismatch for one that does not
+    parse, does not match the call or does not hold together."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointMismatch(f"unsupported checkpoint version in {path}")
+        try:
+            data = json.load(fh)
+        except ValueError:
+            data = None
+    if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointMismatch(f"{path} is not a version {CHECKPOINT_VERSION} checkpoint")
     if data.get("n") != n or data.get("mode") != mode.value:
         raise CheckpointMismatch(
             f"checkpoint {path} is for n={data.get('n')}, mode={data.get('mode')}"
@@ -579,10 +578,24 @@ def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) 
     recorded = data.get("reduction")
     if recorded not in _REDUCTIONS[1:] or reduction not in ("auto", recorded):
         raise CheckpointMismatch(f"checkpoint {path} used a different symmetry reduction")
-    # a branch is stored with its anchor; files written before that hold a
-    # bare prefix, whose anchor is 0
-    data["remaining"] = [(e["anchor"], tuple(e["prefix"])) if isinstance(e, dict)
-                         else (0, tuple(e)) for e in data["remaining"]]
+
+    def distinct(values) -> bool:
+        return all(type(v) is int and 0 <= v < n for v in values) and len(set(values)) == len(values)
+
+    try:
+        # a branch is stored with its anchor; files written before that hold
+        # a bare prefix, whose anchor is 0
+        data["remaining"] = [(e["anchor"], tuple(e["prefix"])) if isinstance(e, dict)
+                             else (0, tuple(e)) for e in data["remaining"]]
+        # a non-null witness is a transversal with ``best`` triples
+        witness = data["witness"]
+        sound = all(distinct([a]) and distinct(p) for a, p in data["remaining"]) and (
+            witness is None or len(witness) == n and distinct(witness)
+            and count_triples(transversal_points(witness), n, mode) == data["best"])
+    except (KeyError, TypeError):
+        sound = False
+    if not sound:
+        raise CheckpointMismatch(f"checkpoint {path} is malformed or inconsistent")
     return data
 
 
@@ -634,8 +647,7 @@ def psi(
     budget = budget or SearchBudget()
     start = time.perf_counter()
     if n <= 2:
-        witness = list(range(n))
-        return SearchOutcome(0, witness, True, elapsed=time.perf_counter() - start)
+        return SearchOutcome(0, list(range(n)), True, elapsed=time.perf_counter() - start)
 
     engine = _Placement(n, mode)
     best: float = math.inf
@@ -654,6 +666,9 @@ def psi(
     else:
         red = "canonical" if reduction == "auto" else reduction
         branches = _psi_branches(engine, red)
+    if checkpoint:
+        # an unwritable path fails here, before any branch is searched
+        _write_checkpoint(checkpoint, n, mode, red, best, witness, branches)
 
     nodes_left = _NodeBudget(budget, start)
     nodes_total = 0
@@ -733,17 +748,10 @@ def psi_brute_force(n: int, mode: CollinearityMode = DEFAULT_MODE) -> SearchOutc
     start = time.perf_counter()
     if n <= 2:
         return SearchOutcome(0, list(range(n)), True, elapsed=time.perf_counter() - start)
-    best = math.inf
-    witness = None
-    nodes = 0
-    for perm in itertools.permutations(range(n)):
-        nodes += 1
-        pts = [(x, y) for x, y in enumerate(perm)]
-        c = count_triples(pts, n, mode)
-        if c < best:
-            best = c
-            witness = list(perm)
-    return SearchOutcome(int(best), witness, True, nodes, 0, time.perf_counter() - start)
+    # ties go to the lex-least permutation
+    best, witness = min((count_triples(list(enumerate(perm)), n, mode), list(perm))
+                        for perm in itertools.permutations(range(n)))
+    return SearchOutcome(best, witness, True, math.factorial(n), 0, time.perf_counter() - start)
 
 
 def lex_least_with_count(
@@ -762,8 +770,7 @@ def lex_least_with_count(
     and the walk runs only if one of them hits it.
     """
     _check_bound(n)
-    if not is_prime(n) or n <= 2:
-        raise NonPrimeModulus(f"lex_least_with_count requires an odd prime, got {n}")
+    require_prime(n, "lex_least_with_count", odd=True)
     if target is None:
         target = (n - 1) // 2
     start = time.perf_counter()
@@ -838,13 +845,8 @@ def _grid_step(n: int, mode: CollinearityMode) -> Callable[..., tuple[int, int]]
     full = (1 << nn) - 1
     # keep[y]: the cells of columns >= y in every row
     keep = [sum(((1 << n) - (1 << y)) << (x * n) for x in range(n)) for y in range(n)]
-    # held[e]: bit k set when origin set k holds e, as in _Placement
-    held = [0] * nn
-    set_masks = []
-    for k, cells in enumerate(_origin_sets(n, mode)):
-        set_masks.append(sum(1 << (x * n + y) for x, y in cells))
-        for x, y in cells:
-            held[x * n + y] |= 1 << k
+    sets, held = _origin_sets(n, mode)
+    set_masks = [sum(1 << (x * n + y) for x, y in cells) for cells in sets]
 
     @lru_cache(maxsize=None)
     def union(h: int) -> int:
@@ -869,7 +871,7 @@ def _grid_search(
     n: int, mode: CollinearityMode, quad: bool, budget: Optional[SearchBudget]
 ) -> SearchOutcome:
     """The DFS of the grid searches: "quad" with ``quad``, else "free"."""
-    _check_bound(n, COMPOSITE_BOUND, least=1 if quad else 2)
+    _check_bound(n, least=1 if quad else 2)
     start = time.perf_counter()
     if n == 1:
         return SearchOutcome(0, [(0, 0)], True, elapsed=time.perf_counter() - start)
@@ -961,8 +963,7 @@ def verify_theorem1(n: int) -> bool:
     the "full" reduction: the canonical one visits only transversals that
     have a triple, so it would assume the theorem.
     """
-    if not is_prime(n) or n <= 2:
-        raise NonPrimeModulus(f"verify_theorem1 requires an odd prime, got {n}")
+    require_prime(n, "verify_theorem1", odd=True)
     if n <= 11:
         return psi(n, reduction="full").value >= 1
     return psi_lower_bound(n) >= 1

@@ -8,9 +8,8 @@ to 503, the complete closed-form/DP grid).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .census import count_quadruples, count_triples, line_decomposition, transversal_points
+from .census import count_triples, line_decomposition, transversal_points
 from .constructions import cubic_permutation, g_permutation, inverse_permutation
 from .geometry import CollinearityMode
 from .modring import is_prime

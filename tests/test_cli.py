@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from modgrid import cli
 from modgrid.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -88,6 +89,35 @@ def test_psi_budget_exit_code(capsys):
 
 def test_psi_rejects_n_below_one(capsys):
     code, out, err = run_cli(capsys, "psi", "--n", "0")
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err
+
+
+def test_psi_rejects_a_negative_budget(capsys):
+    code, out, err = run_cli(capsys, "psi", "--n", "7", "--budget-nodes", "-1")
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err
+
+
+def test_psi_rejects_a_bad_checkpoint(capsys, tmp_path):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text("{")
+    code, out, err = run_cli(capsys, "psi", "--n", "5", "--checkpoint", str(ckpt))
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "Traceback" not in err
+
+
+def test_unwritable_output_paths_fail_before_the_search(capsys, tmp_path, monkeypatch):
+    def no_psi(*args, **kwargs):
+        raise AssertionError("psi was called")
+
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(capsys, "psi", "--n", "7",
+                             "--checkpoint", str(missing / "ckpt.json"))
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err
+    monkeypatch.setattr(cli, "psi", no_psi)
+    code, out, err = run_cli(capsys, "table", "--max-n", "3", "--out", str(missing / "t.csv"))
     assert code == EXIT_USAGE
     assert out == "" and "error:" in err
 

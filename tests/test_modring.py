@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from modgrid.errors import NotInvertible
-from modgrid.modring import is_prime, mod_inverse
+from modgrid.errors import NonPrimeModulus, NotInvertible
+from modgrid.modring import is_prime, mod_inverse, require_prime
 
 
 def test_mod_inverse_examples():
@@ -46,3 +46,14 @@ def test_is_prime_against_trial_division():
 
     for n in range(1, 10**4 + 1):
         assert is_prime(n) == trial(n), n
+
+
+def test_require_prime():
+    for n in (1, 4, 9):
+        for odd in (False, True):
+            with pytest.raises(NonPrimeModulus):
+                require_prime(n, "caller", odd=odd)
+    with pytest.raises(NonPrimeModulus, match="caller requires an odd prime"):
+        require_prime(2, "caller", odd=True)
+    require_prime(2, "caller")
+    require_prime(3, "caller", odd=True)

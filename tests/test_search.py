@@ -254,8 +254,20 @@ SEARCHES = [
 
 @pytest.mark.parametrize("search", SEARCHES)
 def test_searches_reject_composite_n_above_bound(search):
-    with pytest.raises(BoundExceeded):
-        search(66)
+    for n in (SEARCH_BOUND + 2, SEARCH_BOUND + 3):
+        with pytest.raises(BoundExceeded):
+            search(n)
+
+
+def test_searches_accept_composite_n_above_64_under_a_budget():
+    out = psi(66, budget=SearchBudget(max_nodes=500))
+    assert (out.exact, out.nodes_explored) == (False, 500)
+    assert out.value == count_triples(transversal_points(out.witness), 66)
+    for run, n, max_nodes in [(max_triples_quadfree_transversal, 66, 200),
+                              (ct0_subsets, 66, 50), (max_triple_free_subset, 66, 50),
+                              (max_triple_free_subset, 127, 50)]:
+        out = run(n, budget=SearchBudget(max_nodes=max_nodes))
+        assert (out.exact, out.nodes_explored) == (False, max_nodes), (run, n)
 
 
 @pytest.mark.parametrize("search", SEARCHES)
@@ -277,6 +289,15 @@ BUDGETED_SEARCHES = {
     "ct0_prime": lambda budget: ct0_subsets(5, budget=budget),
     "triple_free": lambda budget: max_triple_free_subset(4, budget=budget),
 }
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED_SEARCHES))
+def test_negative_budgets_are_rejected(name):
+    for budget in ({"max_nodes": -1}, {"max_time": -1.0}):
+        with pytest.raises(OutOfRange):
+            BUDGETED_SEARCHES[name](SearchBudget(**budget))
+        with pytest.raises(OutOfRange):
+            psi(2, budget=SearchBudget(**budget))
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETED_SEARCHES))
@@ -331,6 +352,49 @@ def test_psi_checkpoint_mismatch(tmp_path):
         with pytest.raises(CheckpointMismatch):
             psi(7, checkpoint=path, reduction=reduction)
     assert psi(7, checkpoint=path, reduction="canonical").exact
+
+
+def _replace(**fields):
+    return lambda data: json.dumps({**data, **fields})
+
+
+# each case breaks one part of a checkpoint written by an interrupted psi(7)
+BAD_CHECKPOINTS = {
+    "not json": lambda data: "{",
+    "not an object": lambda data: "[]",
+    "no remaining": lambda data: json.dumps({k: v for k, v in data.items() if k != "remaining"}),
+    "remaining not a list": _replace(remaining=3),
+    "entry without a prefix": _replace(remaining=[{"anchor": 2}]),
+    "repeated value": _replace(remaining=[{"anchor": 2, "prefix": [0, 1, 1]}]),
+    "value out of range": _replace(remaining=[[0, 7]]),
+    "anchor out of range": _replace(remaining=[{"anchor": 9, "prefix": [0, 1]}]),
+    "null best with a witness": _replace(best=None),
+    "witness not a permutation": _replace(witness=[0, 1, 1, 5, 2, 3, 6]),
+    "witness of another count": _replace(best=1),
+}
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a branch was searched")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_psi_rejects_a_bad_checkpoint(tmp_path, monkeypatch, case):
+    path = tmp_path / "ckpt.json"
+    psi(7, budget=SearchBudget(max_nodes=5), checkpoint=str(path))
+    path.write_text(BAD_CHECKPOINTS[case](json.loads(path.read_text())))
+    monkeypatch.setattr(search, "_search_branch", _no_search)
+    with pytest.raises(CheckpointMismatch):
+        psi(7, checkpoint=str(path))
+
+
+def test_psi_writes_its_checkpoint_before_the_first_branch(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_search_branch", _no_search)
+    with pytest.raises(OSError):
+        psi(7, checkpoint=str(tmp_path / "missing" / "ckpt.json"))
+    path = tmp_path / "ckpt.json"
+    psi(2, checkpoint=str(path))
+    assert not path.exists()
 
 
 # at n = 12 the floor 6 leaves column 2 only the values 0 and 6, both used
