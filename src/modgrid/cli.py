@@ -28,7 +28,7 @@ from .constructions import (
     inverse_permutation,
     mobius_permutation,
 )
-from .errors import ModGridError
+from .errors import BoundExceeded, ModGridError
 from .geometry import DEFAULT_MODE, CollinearityMode
 from .modring import is_prime
 from .packing import (
@@ -39,7 +39,7 @@ from .packing import (
     t_exact,
     trip_cost,
 )
-from .search import SearchBudget, SearchOutcome, psi
+from .search import SEARCH_BOUND, SearchBudget, SearchOutcome, psi
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -185,6 +185,9 @@ def cmd_table(args) -> int:
     started = time.perf_counter()
     if args.max_n < 1:
         raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
+    # a table past the bound would fail at its last row, after all the others
+    if args.max_n > SEARCH_BOUND:
+        raise BoundExceeded(f"--max-n {args.max_n} exceeds the search bound {SEARCH_BOUND}")
     mode = CollinearityMode(args.mode)
     budget = _budget_from_args(args)
     # an unwritable path fails here, before the table is computed

@@ -26,7 +26,8 @@ unit lines).  Cells of used values, and cells a branch excludes (below),
 carry a blocking mark, so a row minimum is a minimum over free values.  A
 is packed into one int of 16-bit fields (see _Placement), so an update is
 a few big-int operations, and each descent builds a new matrix from its
-parent's: backtracking needs no undo.
+parent's: backtracking needs no undo.  A node reads only the rows of its
+own and later columns.
 
 One walk, _search_branch, runs every transversal search, under one of
 three objectives.  psi runs it in two phases.  The value phase ("min")
@@ -54,8 +55,8 @@ Symmetry reduction (value phase only).  The maps (x, y) -> (ax + b, cy + e)
 with units a, c keep transversals and triple counts, in both modes.  psi's
 ``reduction`` picks the branches: "none" tries every sigma(0), "translate"
 fixes sigma(0) = 0, "full" also sigma(1) = 1 at prime n, and "canonical",
-the default, keeps one image of each transversal (isomorph rejection by
-canonical form: McKay, J. Algorithms 26, 1998):
+the default, keeps fewer images of each transversal, at least one (isomorph
+rejection by canonical form: McKay, J. Algorithms 26, 1998):
 
 - Composite n: a floor on unit-pair gcds.  Let d be the least
   gcd(sigma(j) - sigma(i), n) over column pairs with j - i a unit.  The map
@@ -64,12 +65,37 @@ canonical form: McKay, J. Algorithms 26, 1998):
   starts (0, d) and has no unit-distance pair with a gcd below d.  Branch
   d | n starts so, and placing (pos, v) blocks the later cells (j, w) with
   j - pos a unit and gcd(w - v, n) < d.
-- Prime n: an anchored triple.  Every transversal has a collinear triple
-  (Theorem 1), at some columns i, j, k.  The map x -> (x - i)/(j - i),
+- Composite n, floor 1: an adjacent-pair lex leader (Crawford, Ginsberg,
+  Luks & Roy, KR 1996).  If columns i and i + e, e = +-1, have a unit value
+  step u, the map x -> i + ex, y -> (y - sigma(i))/u sends sigma to
+  tau(x) = (sigma(i + ex) - sigma(i))/u, which starts (0, 1) and keeps the
+  floor, so it is a member of branch 1 too.  A child is pruned when such
+  an image, over the columns placed, is lex-smaller than sigma.  Proof:
+  the maps x -> a + ex, y -> cy + f (c a unit) form a group, so the images
+  of sigma under them that start (0, 1) form a set S that is the same for
+  every member of S.  Every image the prune compares lies in S, so the
+  lex-least member of S is never pruned, and it has sigma's count.  The
+  +1 images at i >= 1 that tie sigma so far are passed down the walk, each
+  compared once per new column; the -1 image of a new column pos is known
+  up to x = pos when the column is placed, and is decided then (one still
+  tied is dropped).
+- Prime n: an anchored triple of the least ratio (the min-ratio rule).
+  Every transversal has a collinear triple (Theorem 1), at some columns
+  i, j, k.  The map x -> (x - i)/(j - i),
   y -> (y - sigma(i))/(sigma(j) - sigma(i)) sends it to (0, 0), (1, 1) and
   (r, r), r = (k - i)/(j - i); reordering the triple moves r within
   {r, 1-r, 1/r, 1/(1-r), r/(r-1), (r-1)/r}.  Branch r, the least of its
-  orbit, starts (0, 1) with the cell (r, r) pinned.
+  orbit, starts (0, 1) with the cell (r, r) pinned, and keeps only the
+  transversals whose least orbit-min triple ratio is r: placing P = (pos, v)
+  after Q = (i, y) blocks the later cells of the line QP at columns pos + t
+  whose ratio (dx + t)/dx, dx = pos - i, has an orbit-min below r.  Proof:
+  the points of a collinear triple lie on a line y = mx + f with m != 0
+  (values are distinct), so its value ratio equals its column ratio, and an
+  affine map x -> ax + b scales all column differences alike, so it keeps
+  every triple's ratio.  A transversal whose least orbit-min ratio is r has
+  an image anchored at a triple of ratio r, in branch r, and no triple of
+  that image has a smaller ratio, so no cell of it is blocked.  This is
+  canonical augmentation (McKay, J. Algorithms 26, 1998).
 
 Canonical branches are split at the third column, so that a pool has work
 to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
@@ -284,6 +310,32 @@ def _origin_sets(n: int, mode: CollinearityMode) -> tuple[list[list[Point]], lis
     return sets, held
 
 
+class _RatioRows(dict):
+    """``rows[dx]`` of the min-ratio rule for the branch with anchor r at
+    prime n, rows as in _Placement.pairs: 1 in every field of row t - 1 when
+    the ratio (dx + t)/dx has an orbit-min below r, so ``pairs[dx*n + dy] &
+    rows[dx]`` holds the later cells on the line through Q = P - (dx, dy)
+    and P that would close a triple of a smaller ratio.  Each row is built
+    when first read: the branch list reads only rows[1] of each anchor."""
+
+    def __init__(self, n: int, anchor: int):
+        super().__init__()
+        self.n, self.anchor, self.omin = n, anchor, _orbit_min(n)
+
+    def __missing__(self, dx: int) -> int:
+        n = self.n
+        line = (1).to_bytes(_FIELD // 8, sys.byteorder) * n
+        width = len(line)
+        buf = bytearray(width * n)
+        inv = pow(dx, -1, n)
+        # the third column pos + t lies below n, so dx + t < n
+        for t in range(1, n - dx):
+            if self.omin[(dx + t) * inv % n] < self.anchor:
+                buf[(t - 1) * width:t * width] = line
+        row = self[dx] = int.from_bytes(buf, sys.byteorder)
+        return row
+
+
 class _Placement:
     """Cost matrices of a transversal placed column by column.
 
@@ -309,13 +361,20 @@ class _Placement:
         self.nbytes = nn * _FIELD // 8
         self.full = (1 << (nn * _FIELD)) - 1
         self.used = 1 << (_FIELD - 1)
+        # the used bit of every field, and the count bits below it
+        self.marks = self.full // ((1 << _FIELD) - 1) * self.used
+        self.low = self.full ^ self.marks
         # keep[v]: all bits of the fields of columns >= v in rows 0..n-2;
         # wrap[v]: those of the other columns
         ones = (1 << _FIELD) - 1
         self.keep = [self.mask(((r, w) for r in range(n - 1) for w in range(v, n)), ones)
                      for v in range(n)]
         self.wrap = [self.keep[0] ^ k for k in self.keep]
-        self._blocks: dict[int, list[int]] = {}
+        # the tables of one floor and of one anchor, built when first asked for
+        self._blocks: tuple = (None, [])
+        self._rows: tuple = (None, None)
+        # inv[u]: the inverse of u, 0 for a non-unit
+        self.inv = [pow(u, -1, n) if math.gcd(u, n) == 1 else 0 for u in range(n)]
         # the sets are closed under negation, so Q = -e lies in the same sets
         # as e; column 0 is P's own, so differences with dx = 0 never occur
         sets, self.held = _origin_sets(n, mode)
@@ -343,14 +402,33 @@ class _Placement:
     def blocks(self, floor: int) -> list[int]:
         """``blocks[v]``, rows as in ``pairs``: the cells that placing v marks
         used, value v in every later column and, under a floor d, the cells
-        (j, w) at a unit column distance with gcd(w - v, n) < d."""
-        if floor not in self._blocks:
+        (j, w) at a unit column distance with gcd(w - v, n) < d.  One floor's
+        table is kept at a time."""
+        if self._blocks[0] != floor:
             n = self.n
             block = self.mask(((r, w) for r in range(n - 1) for w in range(n)
                                if not w or math.gcd(r + 1, n) == 1 and math.gcd(w, n) < floor),
                               self.used)
-            self._blocks[floor] = [self.rotate(block, v) for v in range(n)]
-        return self._blocks[floor]
+            self._blocks = (None, [])  # free the old table before the new one is built
+            self._blocks = (floor, [self.rotate(block, v) for v in range(n)])
+        return self._blocks[1]
+
+    def ratio_rows(self, anchor: int) -> Optional[_RatioRows]:
+        """The min-ratio rule's rows for the branch with ``anchor`` r at
+        prime n; None for r = 2, the least orbit-min, below which no ratio
+        lies.  One anchor's rows are kept at a time."""
+        if self._rows[0] != anchor:
+            self._rows = (anchor, _RatioRows(self.n, anchor) if anchor > 2 else None)
+        return self._rows[1]
+
+    def tables(self, anchor: int) -> tuple[list[int], Optional[_RatioRows], bool]:
+        """(blocks, rows, lex) of the branch with ``anchor`` (see root):
+        ``blocks(floor)``, ``ratio_rows(anchor)`` at prime n, and whether the
+        adjacent-pair lex-leader prune applies, on the floor-1 branch at
+        composite n."""
+        if self.prime:
+            return self.blocks(0), self.ratio_rows(anchor), False
+        return self.blocks(anchor), None, anchor == 1
 
     def rotate(self, M: int, v: int) -> int:
         """``M``, rows as in ``pairs``, with every row rotated by v: the
@@ -369,43 +447,94 @@ class _Placement:
         common = {h & g for h, g in itertools.combinations(d, 2)}
         return self.rotate(reduce(or_, map(self.union, common), 0), v) << (_FIELD - 1)
 
-    def place(self, A: int, sigma: Sequence[int], v: int, block: int) -> int:
+    def place(self, A: int, sigma: Sequence[int], v: int, block: int,
+              rows: Optional[_RatioRows] = None) -> int:
         """The matrix after adding (len(sigma), v) to the placement ``sigma``;
         ``block`` is ``blocks(floor)[v]``, with ``quad_block`` ORed in for a
-        quadruple-free search."""
+        quadruple-free search, and ``rows`` the branch's ``ratio_rows``."""
         n = self.n
         pos = len(sigma)
         pairs = self.pairs
-        add = self.rotate(sum([pairs[(pos - i) * n + (v - y) % n]
-                               for i, y in enumerate(sigma)]), v)
+        masks = [pairs[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)]
+        if rows is not None:
+            # the cells the min-ratio rule blocks, rows[dx] for the earlier
+            # points at dx = pos, pos - 1, ..., 1, ride in the used bits of
+            # the sum, above its counts, through one rotation
+            ratio = map(and_, masks, map(rows.__getitem__, range(pos, 0, -1)))
+            add = self.rotate(sum(masks) | reduce(or_, ratio, 0) << (_FIELD - 1), v)
+            block |= add & self.marks
+            add &= self.low
+        else:
+            add = self.rotate(sum(masks), v)
         shift = (pos + 1) * n * _FIELD
         return ((A + (add << shift)) | (block << shift)) & self.full
 
-    def counts(self, A: int) -> list[int]:
-        """The fields of ``A`` as a list of n*n ints."""
-        return memoryview(A.to_bytes(self.nbytes, sys.byteorder)).cast("H").tolist()
+    def counts(self, A: int, pos: int = 0) -> list[int]:
+        """The fields of rows pos..n-1 of ``A`` as a list of ints."""
+        skip = pos * self.n * _FIELD
+        return memoryview((A >> skip).to_bytes(self.nbytes - skip // 8, sys.byteorder)
+                          ).cast("H").tolist()
+
+    def lex(self, sigma: Sequence[int], v: int, ties: list) -> Optional[list]:
+        """The +1 images still tied after adding (len(sigma), v) to ``sigma``
+        on the floor-1 branch, or None when an adjacent image beats it (see
+        the module docstring).  ``ties`` holds (i, c) for each +1 image
+        tau(x) = c(sigma(i + x) - sigma(i)) that equals sigma so far."""
+        n, inv = self.n, self.inv
+        pos = len(sigma)
+        kept = []
+        for i, c in ties:
+            t, s = c * (v - sigma[i]) % n, sigma[pos - i]
+            if t < s:
+                return None
+            if t == s:
+                kept.append((i, c))
+        c = inv[(sigma[pos - 1] - v) % n] if pos >= 2 else 0
+        if c:
+            # the -1 image at pos, tau(x) = c(sigma(pos - x) - v), is known
+            # up to x = pos; tau(1) = 1 = sigma(1)
+            for x in range(2, pos + 1):
+                t, s = c * (sigma[pos - x] - v) % n, sigma[x] if x < pos else v
+                if t != s:
+                    if t < s:
+                        return None
+                    break
+            # the +1 image at pos - 1: its step v - sigma(pos - 1) is -1/c
+            kept.append((pos - 1, n - c))
+        return kept
 
     def root(self, prefix: Sequence[int], anchor: int = 0, quad: bool = False
-             ) -> tuple[int, list[int], int, list[int]]:
-        """(A, sigma, count, blocks) after placing ``prefix`` in a branch
-        with ``anchor`` (see _psi_branches): at prime n the diagonal cell
-        (r, r) pinned, at composite n the floor d; 0 for neither.  ``quad``
-        blocks the cells that would complete a collinear quadruple."""
+             ) -> tuple[int, list[int], int, Optional[list]]:
+        """(A, sigma, count, ties) after placing ``prefix`` in a branch with
+        ``anchor`` (see _psi_branches): at prime n the diagonal cell (r, r)
+        pinned, at composite n the floor d; 0 for neither.  ``quad`` blocks
+        the cells that would complete a collinear quadruple.  ``ties`` is
+        the state of the lex-leader prune (see lex), None where it does not
+        apply.  A blocked cell in ``prefix``, or one that an adjacent image
+        beats, adds the used mark to ``count``."""
         n = self.n
         A = 0
         if self.prime and anchor:
             A = self.mask([(j, anchor) for j in range(n) if j != anchor]
                           + [(anchor, w) for w in range(n) if w != anchor], self.used)
-        blocks = self.blocks(0 if self.prime else anchor)
+        blocks, rows, lex = self.tables(anchor)
+        ties = [] if lex else None
         sigma: list[int] = []
         count = 0
         for v in prefix:
-            a = self.counts(A)[len(sigma) * n + v]
+            a = self.counts(A, len(sigma))[v]
+            if ties is not None:
+                kept = self.lex(sigma, v, ties)
+                if kept is None:
+                    a |= self.used
+                else:
+                    ties = kept
             count += a
             A = self.place(A, sigma, v,
-                           blocks[v] | self.quad_block(sigma, v) if quad and a else blocks[v])
+                           blocks[v] | self.quad_block(sigma, v) if quad and a else blocks[v],
+                           rows)
             sigma.append(v)
-        return A, sigma, count, blocks
+        return A, sigma, count, ties
 
     def rest(self, vals: list[int], pos: int) -> int:
         """Lower bound on the triples still to close in columns pos..n-1."""
@@ -432,14 +561,16 @@ def _search_branch(
     would complete a collinear quadruple are blocked, and each completion
     with more triples than the last one taken is taken, so the last is the
     lex-least maximum; a node with a fully blocked later column is pruned.
-    Returns (count, witness, nodes, pruned, aborted), with count and
-    witness None when no completion was taken.
+    Every free cell of a node's column is a child and counts as a node; a
+    child over the limit, or one that an adjacent image beats (see
+    _Placement.lex), is pruned.  Returns (count, witness, nodes, pruned,
+    aborted), with count and witness None when no completion was taken.
     """
     n = engine.n
-    nn = n * n
-    place, counts, used_at = engine.place, engine.counts, engine.used
+    place, counts, lex, used_at = engine.place, engine.counts, engine.lex, engine.used
     quad = objective == "max"
-    A0, sigma, count, blocks = engine.root(prefix, anchor, quad)
+    blocks, rows, _ = engine.tables(anchor)
+    A0, sigma, count, ties0 = engine.root(prefix, anchor, quad)
     start_pos = len(prefix)
     nodes = granted = pruned = 0
     value: Optional[int] = None
@@ -455,18 +586,18 @@ def _search_branch(
             limit = cnt - 1
         return objective == "first"
 
-    def rec(pos: int, cnt: int, A: int) -> bool:
+    def rec(pos: int, cnt: int, A: int, ties: Optional[list]) -> bool:
         nonlocal nodes, granted, pruned
-        vals = counts(A)
-        row = pos * n
-        mins = [min(vals[b:b + n]) for b in range(row + n, nn, n)]
-        if quad and max(mins, default=0) >= used_at:
+        vals = counts(A, pos)
+        # each row's least field: map zips n turns of one iterator
+        mins = list(map(min, *[iter(vals)] * n))
+        if quad and max(mins[1:], default=0) >= used_at:
             # a later column has no free cell, so no completion lies below
             pruned += 1
             return False
-        base = cnt + sum(mins)
+        base = cnt + sum(mins) - mins[0]
         for v in range(n):
-            a = vals[row + v]
+            a = vals[v]
             if a >= used_at:
                 continue
             nodes += 1
@@ -476,7 +607,8 @@ def _search_branch(
                     nodes -= 1
                     raise _BudgetExhausted
                 granted += grant
-            if base + a > limit:
+            kept = ties
+            if base + a > limit or ties is not None and (kept := lex(sigma, v, ties)) is None:
                 pruned += 1
                 continue
             if pos + 1 == n:
@@ -484,9 +616,10 @@ def _search_branch(
                 done = finish(base + a)
             else:
                 child = place(A, sigma, v,
-                              blocks[v] | engine.quad_block(sigma, v) if quad and a else blocks[v])
+                              blocks[v] | engine.quad_block(sigma, v) if quad and a else blocks[v],
+                              rows)
                 sigma.append(v)
-                done = rec(pos + 1, cnt + a, child)
+                done = rec(pos + 1, cnt + a, child, kept)
             if done:
                 return True
             sigma.pop()
@@ -500,7 +633,7 @@ def _search_branch(
         finish(count)
     else:
         try:
-            rec(start_pos, count, A0)
+            rec(start_pos, count, A0, ties0)
         except _BudgetExhausted:
             aborted = True
         finally:
@@ -527,15 +660,21 @@ def _pool_branch(branch, limit):
 _REDUCTIONS = ("auto", "canonical", "full", "translate", "none")
 
 
+def _orbit_min(p: int) -> list[int]:
+    """m[x]: the least element of the orbit of x under x -> 1 - x and
+    x -> 1/x, {x, 1-x, 1/x, 1/(1-x), x/(x-1), (x-1)/x}, for x in 2..p-1
+    (p prime); 0 at 0 and 1."""
+    m = [0] * p
+    for x in range(2, p):
+        inv, co = pow(x, -1, p), pow(1 - x, -1, p)
+        m[x] = min(y % p for y in (x, 1 - x, inv, co, -x * co, 1 - inv))
+    return m
+
+
 def _orbit_representatives(p: int) -> list[int]:
     """The least r of each orbit of {r, 1-r, 1/r, 1/(1-r), r/(r-1), (r-1)/r}
     on 2..p-1 (p prime)."""
-    reps = []
-    for r in range(2, p):
-        inv, co = pow(r, -1, p), pow(1 - r, -1, p)
-        if r == min(x % p for x in (r, 1 - r, inv, co, -r * co, 1 - inv)):
-            reps.append(r)
-    return reps
+    return [r for r, m in enumerate(_orbit_min(p)) if r >= 2 and m == r]
 
 
 def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[int, ...]]]:

@@ -143,6 +143,16 @@ def test_table_command(capsys, tmp_path):
     assert lines[3] == "3,1,true"
 
 
+def test_table_past_the_search_bound_fails_before_any_psi_call(capsys, monkeypatch):
+    def no_psi(*args, **kwargs):
+        raise AssertionError("psi was called")
+
+    monkeypatch.setattr(cli, "psi", no_psi)
+    code, out, err = run_cli(capsys, "table", "--max-n", "129", "--budget-nodes", "1")
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "129" in err
+
+
 def test_table_csv_format(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-n", "5", "--format", "csv")
     assert code == EXIT_OK

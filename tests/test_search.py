@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modgrid import search
@@ -20,7 +20,7 @@ from modgrid.search import (
     SearchBudget,
     _grid_step,
     _Placement,
-    _orbit_representatives,
+    _orbit_min,
     _psi_branches,
     ct0_subsets,
     lex_least_with_count,
@@ -414,31 +414,56 @@ def test_canonical_checkpoint_entries_carry_their_anchor(tmp_path, n, anchors):
     assert all(len(e["prefix"]) == 3 for e in branches)
 
 
-def _canonical_image(sigma, n, mode):
-    """(anchor, tau): the image of sigma that the canonical reduction keeps,
-    mapped as in the search module docstring."""
-    if is_prime(n):
-        reps = _orbit_representatives(n)
-        for i, j, k in itertools.permutations(range(n), 3):
-            s = pow(j - i, -1, n)
-            r = (k - i) * s % n
-            pts = [(x, sigma[x]) for x in (i, j, k)]
-            if r in reps and collinear_triple(*pts, n, mode):
-                t = pow(sigma[j] - sigma[i], -1, n)
-                break
-        else:
-            raise AssertionError(f"{sigma} has no collinear triple")
-        anchor = r
-    else:
-        anchor, i, j = min((math.gcd(sigma[j] - sigma[i], n), i, j)
-                           for i in range(n) for j in range(n)
-                           if i != j and math.gcd(j - i, n) == 1)
-        s = pow(j - i, -1, n)
-        t = next(c for c in range(1, n)
-                 if math.gcd(c, n) == 1 and c * (sigma[j] - sigma[i]) % n == anchor)
+def _anchored_image(sigma, n, i, j):
+    """The image of sigma under x -> (x - i)/(j - i), y -> (y - sigma(i))/(sigma(j) -
+    sigma(i)) (n prime)."""
+    s, t = pow(j - i, -1, n), pow(sigma[j] - sigma[i], -1, n)
     tau = [0] * n
     for x in range(n):
         tau[(x - i) * s % n] = (sigma[x] - sigma[i]) * t % n
+    return tau
+
+
+def _anchored_triples(sigma, n, mode):
+    """(r, i, j) for each ordered collinear triple i, j, k of sigma whose
+    ratio r = (k - i)/(j - i) is the least of its orbit (n prime)."""
+    omin = _orbit_min(n)
+    return [(r, i, j) for i, j, k in itertools.permutations(range(n), 3)
+            for r in [(k - i) * pow(j - i, -1, n) % n]
+            if omin[r] == r and collinear_triple(*((x, sigma[x]) for x in (i, j, k)), n, mode)]
+
+
+def _adjacent_images(sigma, n):
+    """The images x -> c(sigma(i + e*x) - sigma(i)), e = +-1, of sigma over the
+    column pairs (i, i + e) whose value step u is a unit, c = 1/u: each
+    starts (0, 1)."""
+    return [[c * (sigma[(i + e * x) % n] - sigma[i]) % n for x in range(n)]
+            for i in range(n) for e in (1, -1)
+            for u in [(sigma[(i + e) % n] - sigma[i]) % n] if math.gcd(u, n) == 1
+            for c in [pow(u, -1, n)]]
+
+
+def _canonical_image(sigma, n, mode):
+    """(anchor, tau): the image of sigma that the canonical reduction keeps,
+    mapped as in the search module docstring: at prime n a triple of the
+    least ratio anchored, on the floor-1 branch the lex-least adjacent image."""
+    if is_prime(n):
+        triples = _anchored_triples(sigma, n, mode)
+        if not triples:
+            raise AssertionError(f"{sigma} has no collinear triple")
+        anchor, i, j = min(triples)
+        return anchor, _anchored_image(sigma, n, i, j)
+    anchor, i, j = min((math.gcd(sigma[j] - sigma[i], n), i, j)
+                       for i in range(n) for j in range(n)
+                       if i != j and math.gcd(j - i, n) == 1)
+    s = pow(j - i, -1, n)
+    t = next(c for c in range(1, n)
+             if math.gcd(c, n) == 1 and c * (sigma[j] - sigma[i]) % n == anchor)
+    tau = [0] * n
+    for x in range(n):
+        tau[(x - i) * s % n] = (sigma[x] - sigma[i]) * t % n
+    if anchor == 1:
+        tau = min(_adjacent_images(tau, n))
     return anchor, tau
 
 
@@ -455,6 +480,43 @@ def test_canonical_image_passes_its_branch(data, mode):
     assert count == count_triples(transversal_points(sigma), n, mode)
 
 
+@settings(max_examples=40, deadline=None)
+@given(sigma=st.sampled_from([5, 7, 11, 13]).flatmap(lambda n: st.permutations(range(n))))
+# about 1% of random transversals at n = 11 and 13 have no triple of ratio 2;
+# these two have least ratio 3
+@example(sigma=[10, 5, 2, 0, 7, 9, 4, 8, 3, 6, 1])
+@example(sigma=[2, 3, 6, 1, 8, 9, 11, 10, 4, 7, 0, 5, 12])
+def test_images_anchored_at_a_larger_ratio_are_blocked(sigma):
+    # the min-ratio rule: an image passes branch r only when r is the least
+    # ratio of sigma's triples; at any larger r a cell of it is blocked
+    n = len(sigma)
+    triples = _anchored_triples(sigma, n, UNIT)
+    least = min(r for r, _, _ in triples)
+    engine = _Placement(n, UNIT)
+    want = count_triples(transversal_points(sigma), n)
+    for r, i, j in triples:
+        _, _, count, _ = engine.root(_anchored_image(sigma, n, i, j), r)
+        if r == least:
+            assert count == want, (sigma, r, i, j)
+        else:
+            assert count >= engine.used, (sigma, r, i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), mode=st.sampled_from([UNIT, ANY]))
+def test_lex_least_adjacent_image_passes_the_floor_one_branch(data, mode):
+    n = data.draw(st.sampled_from([4, 6, 8, 9, 10]))
+    sigma = data.draw(st.permutations(range(n)))
+    images = _adjacent_images(sigma, n)
+    assume(images)
+    tau = min(images)
+    engine = _Placement(n, mode)
+    # an image that beats a prefix of tau would add the used mark
+    _, _, count, ties = engine.root(tau, 1)
+    assert count == count_triples(transversal_points(sigma), n, mode)
+    assert ties is not None
+
+
 # (12, ANY) is left out: "translate" takes about two minutes there.  At
 # composite n "full" is "translate"
 @pytest.mark.parametrize("n,mode", [(n, m) for n in range(3, 13) for m in (UNIT, ANY)
@@ -469,6 +531,13 @@ def test_canonical_matches_full_and_translate(n, mode):
         pooled = psi(n, mode, budget=SearchBudget(workers=2))
         assert (pooled.value, pooled.exact, pooled.witness) == (
             canonical.value, canonical.exact, canonical.witness)
+
+
+# the canonical reduction's node counts (README); a larger count means a
+# prune was lost
+@pytest.mark.parametrize("n,mode,most", [(11, UNIT, 6_000), (13, UNIT, 84_000), (10, ANY, 33_000)])
+def test_canonical_node_counts(n, mode, most):
+    assert psi(n, mode).nodes_explored <= most
 
 
 def test_psi_rejects_unknown_reduction():
