@@ -30,15 +30,19 @@ parent's: backtracking needs no undo.  A node reads only the rows of its
 own and later columns.
 
 One walk, _search_branch, runs every transversal search, under one of
-three objectives.  psi runs it in two phases.  The value phase ("min")
-prunes strictly: its limit is one below the best count known, so ties are
-never explored and a branch needs only that count, not a witness or a rule
-for breaking ties.  For prime n the self-inverse construction seeds the
-best count and its witness.  The witness phase ("first", also
-lex_least_with_count) walks from the empty prefix with the limit set to the
-value, and stops at the first completion that has exactly that many
-triples: the lexicographically least one, since completions come in
-lexicographic order.
+three objectives.  psi runs "min" once over the branches of its symmetry
+reduction (below): each completion within the limit is taken and sets the
+limit one below its count, so a branch returns its lex-least completion at
+its least count, if that is within the limit it started at.  Tie rule: a
+branch whose prefix is lex <= the incumbent witness's first cells starts at
+the incumbent count, any other one below it, and a merge keeps the lower
+count, ties going to the lex-smaller witness; at prime n the self-inverse
+map is the first incumbent.  So psi gets the lex-least completion at the
+final count V over all branches, in any finishing order (serial, pooled or
+resumed): a branch started at the incumbent count returns it, if it has
+one; so does a branch started below, if V is below its start, and
+otherwise its completions at V come after the incumbent of its start, and
+the incumbent only gets smaller.
 
 The quadruple-free maximum ("max") walks with no limit and takes each
 completion with more triples than the last one taken, so the last taken is
@@ -51,7 +55,7 @@ held[P - Q] & held[P - Q'].  Placing P marks their later cells used, as it
 marks used values.  P closes a triple only when its field of A is above 0,
 so only those placements pay for the marks.
 
-Symmetry reduction (value phase only).  The maps (x, y) -> (ax + b, cy + e)
+Symmetry reduction (psi only).  The maps (x, y) -> (ax + b, cy + e)
 with units a, c keep transversals and triple counts, in both modes.  psi's
 ``reduction`` picks the branches: "none" tries every sigma(0), "translate"
 fixes sigma(0) = 0, "full" also sigma(1) = 1 at prime n, and "canonical",
@@ -99,6 +103,19 @@ rejection by canonical form: McKay, J. Algorithms 26, 1998):
 
 Canonical branches are split at the third column, so that a pool has work
 to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
+
+The lex-least optimum sigma* lies in psi's branches, so psi returns it, in
+all cases but one.  A translation and a unit scaling of values make
+sigma*(0) = 0 and sigma*(1) = gcd(sigma*(1), n), the images being no
+larger: this covers "none", "translate" and "full".  Under "canonical" at
+composite n, sigma*(1) is its floor d, or the pair at the floor would give
+a smaller image; so sigma* is in branch d, and the floor-1 prune keeps the
+lex-least image.  At prime n, branch r = 2 is every transversal that starts
+(0, 1, 2), as no ratio lies below 2: a result that starts so is sigma*,
+which starts (0, 1) and is no larger.  Any other result (none is known for
+p <= 17) is replaced by the "first" walk (also lex_least_with_count): from
+the empty prefix, with the limit set to the value, to the first completion
+with exactly that many triples, the lexicographically least one.
 
 Grid searches.  max_triple_free_subset and ct0_subsets run one DFS,
 _grid_search, over subsets S of the n^2 cells held as bitmasks.  Both
@@ -153,7 +170,7 @@ __all__ = [
     "verify_theorem1",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -678,7 +695,7 @@ def _orbit_representatives(p: int) -> list[int]:
 
 
 def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[int, ...]]]:
-    """The value phase's branches, as (anchor, prefix) pairs (see
+    """psi's branches, as (anchor, prefix) pairs (see
     _Placement.root), for n >= 3."""
     n = engine.n
     if reduction == "none":
@@ -708,8 +725,8 @@ def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) 
             data = json.load(fh)
         except ValueError:
             data = None
-    if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointMismatch(f"{path} is not a version {CHECKPOINT_VERSION} checkpoint")
+    if not isinstance(data, dict) or data.get("version") not in (1, CHECKPOINT_VERSION):
+        raise CheckpointMismatch(f"{path} is not a version 1 or {CHECKPOINT_VERSION} checkpoint")
     if data.get("n") != n or data.get("mode") != mode.value:
         raise CheckpointMismatch(
             f"checkpoint {path} is for n={data.get('n')}, mode={data.get('mode')}"
@@ -746,9 +763,10 @@ def _write_checkpoint(
     best,
     witness,
     remaining: list[tuple[int, tuple[int, ...]]],
+    version: int = CHECKPOINT_VERSION,
 ) -> None:
     data = {
-        "version": CHECKPOINT_VERSION,
+        "version": version,
         "n": n,
         "mode": mode.value,
         "reduction": reduction,
@@ -769,16 +787,16 @@ def psi(
     checkpoint: Optional[str] = None,
     reduction: str = "auto",
 ) -> SearchOutcome:
-    """Minimum collinear-triple count over all transversals of Z_n.
+    """Minimum collinear-triple count over all transversals of Z_n, with the
+    lexicographically least transversal attaining it.
 
-    Two phases on one node budget and deadline.  The value phase is a
-    strict branch-and-bound over the branches of ``reduction`` (see the
-    module docstring), serial or pooled; the witness phase then walks from
-    the empty prefix to the lexicographically least transversal with that
-    many triples.  Budget exhaustion in either phase yields exact = False
-    with the best value found so far (an upper bound) and its witness; the
-    checkpoint then keeps every branch not yet finished (none once the
-    value phase is done), so a resumed run gives the uninterrupted result.
+    One branch-and-bound over the branches of ``reduction``, serial or
+    pooled, under the tie rule (see the module docstring); the "first" walk
+    runs only at prime n under "canonical", for a result that does not start
+    (0, 1, 2), or after a version 1 checkpoint.  Budget exhaustion yields
+    exact = False with the best value found so far (an upper bound) and its
+    witness; the checkpoint then keeps every branch not yet finished, so a
+    resumed run gives the uninterrupted result.
     """
     _check_bound(n)
     if reduction not in _REDUCTIONS:
@@ -792,7 +810,7 @@ def psi(
     best: float = math.inf
     witness: Optional[list[int]] = None
     if engine.prime:
-        # the self-inverse construction seeds the value phase
+        # the self-inverse construction is the first incumbent
         witness = inverse_permutation(n)
         best = count_triples(transversal_points(witness), n, mode)
 
@@ -800,20 +818,30 @@ def psi(
         data = _load_checkpoint(checkpoint, n, mode, reduction)
         red, branches = data["reduction"], data["remaining"]
         # a null witness stands for no completion yet, or the prime seed
-        if data["witness"] is not None and data["best"] < best:
+        if data["witness"] is not None and (data["best"], data["witness"]) < (best, witness):
             best, witness = data["best"], list(data["witness"])
+        # a version 1 file's finished branches ran strictly and may hide a
+        # lex-smaller tie; the file stays version 1 until the walk is done
+        walk = data["version"] == 1
     else:
         red = "canonical" if reduction == "auto" else reduction
         branches = _psi_branches(engine, red)
+        walk = False
+    version = 1 if walk else CHECKPOINT_VERSION
     if checkpoint:
         # an unwritable path fails here, before any branch is searched
-        _write_checkpoint(checkpoint, n, mode, red, best, witness, branches)
+        _write_checkpoint(checkpoint, n, mode, red, best, witness, branches, version)
 
     nodes_left = _NodeBudget(budget, start)
     nodes_total = 0
     pruned_total = 0
     aborted = False
     remaining = list(branches)
+
+    def bound(branch) -> float:
+        """The tie rule's limit: ``best`` for a prefix lex <= the incumbent's
+        first cells, else best - 1."""
+        return best - (witness is not None and list(branch[1]) > witness[:len(branch[1])])
 
     def merge(branch, result) -> None:
         """Fold one branch result in; a branch that did not finish stays
@@ -822,14 +850,14 @@ def psi(
         b, w, nodes, pruned, ab = result
         nodes_total += nodes
         pruned_total += pruned
-        if w is not None and b < best:
+        if w is not None and (b < best or b == best and w < witness):
             best, witness = b, w
         if ab:
             aborted = True
         else:
             remaining.remove(branch)
         if checkpoint:
-            _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
+            _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining, version)
 
     if budget.workers > 1 and len(branches) > 1:
         nodes_left.share()
@@ -844,7 +872,7 @@ def psi(
             def submit() -> None:
                 branch = next(todo, None)
                 if branch is not None and not aborted:
-                    running[pool.submit(_pool_branch, branch, best - 1)] = branch
+                    running[pool.submit(_pool_branch, branch, bound(branch))] = branch
 
             for _ in range(budget.workers):
                 submit()
@@ -855,16 +883,18 @@ def psi(
                     submit()
     else:
         for branch in branches:
-            merge(branch, _search_branch(engine, branch[1], best - 1, nodes_left,
+            merge(branch, _search_branch(engine, branch[1], bound(branch), nodes_left,
                                          anchor=branch[0]))
             if aborted:
                 break
 
-    if not aborted:
+    if not aborted and (walk or red == "canonical" and engine.prime and witness[:3] != [0, 1, 2]):
         _, w, nodes, pruned, aborted = _search_branch(engine, (), best, nodes_left, "first")
         nodes_total += nodes
         pruned_total += pruned
         witness = w or witness
+        if walk and checkpoint and not aborted:
+            _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
     exact = not aborted
     elapsed = time.perf_counter() - start
     note = "" if exact else "upper bound: search budget exhausted"

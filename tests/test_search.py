@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from modgrid import search
 from modgrid.census import count_quadruples, count_triples, transversal_points
-from modgrid.constructions import g_permutation
+from modgrid.constructions import g_permutation, inverse_permutation
 from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from modgrid.geometry import CollinearityMode
 from modgrid.geometry import collinear_triple
@@ -72,17 +73,20 @@ def test_full_reduction_matches_translate_only(n):
     assert full.value == translate.value == none.value
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
-def test_psi_witness_is_lex_least_optimum(n):
-    out = psi(n)
-    value = out.value
-    # oracle: lexicographically first permutation attaining the optimum
-    import itertools
+@functools.lru_cache(maxsize=None)
+def _brute_force(n, mode):
+    """(value, lex-least witness) of plain enumeration, once per (n, mode)."""
+    out = psi_brute_force(n, mode)
+    return out.value, out.witness
 
-    for perm in itertools.permutations(range(n)):
-        if count_triples(transversal_points(list(perm)), n) == value:
-            assert out.witness == list(perm)
-            break
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_psi_witness_is_lex_least_optimum(n):
+    for mode in (UNIT, ANY):
+        want = _brute_force(n, mode)
+        for reduction in ("canonical", "full", "translate", "none"):
+            out = psi(n, mode, reduction=reduction)
+            assert out.exact and (out.value, out.witness) == want, (mode, reduction)
 
 
 def test_psi_workers_agree():
@@ -110,7 +114,7 @@ def test_psi_checkpoint_roundtrip(tmp_path):
         assert not partial.exact
         with open(path) as fh:
             data = json.load(fh)
-        assert data["n"] == 9 and data["version"] == 1 and data["reduction"] == reduction
+        assert data["n"] == 9 and data["version"] == 2 and data["reduction"] == reduction
         # every reduction writes one entry format
         assert data["remaining"] and all(set(e) == {"anchor", "prefix"}
                                          for e in data["remaining"])
@@ -181,8 +185,8 @@ def test_lookahead_bound_is_admissible(case, mode):
 
 # an int is a node budget for the "full" reduction, whose node counts it was
 # chosen for; a float is a fraction of the nodes of the uninterrupted
-# default run.  Every cut falls in the value phase
-@pytest.mark.parametrize("n", [9, 10])
+# default run
+@pytest.mark.parametrize("n", [9, 10, 11])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("max_nodes", [50, 3000, 12000, 0.01, 0.25, 0.6])
 def test_interrupted_resume_matches_uninterrupted(tmp_path, n, workers, max_nodes):
@@ -220,6 +224,29 @@ def test_resume_holding_a_lex_greater_witness_finds_the_lex_least(tmp_path):
         }))
         resumed = psi(9, checkpoint=str(path))
         assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, w)
+
+
+def test_finished_version_1_checkpoint_resumes_to_the_lex_least_witness(tmp_path):
+    # a version 1 file's branches ran strictly, so a lex-smaller tie with the
+    # seed may be hidden: the resume walks to the lex-least witness
+    ref = psi(11)
+    seed = inverse_permutation(11)
+    assert seed != ref.witness
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({
+        "version": 1, "n": 11, "mode": "unit", "reduction": "full",
+        "best": ref.value, "witness": seed, "remaining": [],
+    }))
+    assert not psi(11, budget=SearchBudget(max_nodes=1), checkpoint=str(path)).exact
+    # an interrupted resume still owes the walk, so the file stays version 1
+    assert json.loads(path.read_text())["version"] == 1
+    resumed = psi(11, checkpoint=str(path))
+    assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
+    # the finished walk upgrades the file, whose witness is now the lex-least
+    data = json.loads(path.read_text())
+    assert (data["version"], data["witness"]) == (2, ref.witness)
+    again = psi(11, checkpoint=str(path))
+    assert (again.value, again.exact, again.witness) == (ref.value, True, ref.witness)
 
 
 def test_resume_from_a_checkpoint_holding_the_prime_seed(tmp_path):
@@ -325,22 +352,24 @@ def test_composite_masks_match_closed_form(n, mode):
             assert fields == want, (n, mode, dx, dy)
 
 
-@pytest.mark.parametrize("n", [7, 9, 10])
-def test_resume_after_witness_phase_abort(tmp_path, n):
-    ref = psi(n)
+@pytest.mark.parametrize("n,mode", [(7, UNIT), (9, UNIT), (10, UNIT), (11, UNIT), (10, ANY)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resume_after_an_abort_one_node_short(tmp_path, n, mode, workers):
+    ref = psi(n, mode)
     path = str(tmp_path / "ckpt.json")
-    # one node short: the value phase finishes, the witness phase does not
-    partial = psi(n, budget=SearchBudget(max_nodes=ref.nodes_explored - 1), checkpoint=path)
-    assert (partial.value, partial.exact) == (ref.value, False)
-    assert count_triples(transversal_points(partial.witness), n) == partial.value
+    # a pool explores at least the serial nodes, since each of its branches
+    # starts from an incumbent no better than the serial one
+    budget = SearchBudget(max_nodes=ref.nodes_explored - 1, workers=workers)
+    partial = psi(n, mode, budget=budget, checkpoint=path)
+    assert not partial.exact
+    assert count_triples(transversal_points(partial.witness), n, mode) == partial.value
     with open(path) as fh:
-        assert json.load(fh)["remaining"] == []
-    resumed = psi(n, checkpoint=path)
+        assert json.load(fh)["remaining"]
+    resumed = psi(n, mode, budget=SearchBudget(workers=workers), checkpoint=path)
     assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
-    # the resume reruns the witness phase only
-    assert resumed.nodes_explored < ref.nodes_explored
-    if n == 7:
-        assert resumed.nodes_explored == lex_least_with_count(7, ref.value).nodes_explored
+    if workers == 1:
+        # the branches that finished before the abort are not searched again
+        assert resumed.nodes_explored < ref.nodes_explored
 
 
 def test_psi_checkpoint_mismatch(tmp_path):
@@ -527,10 +556,17 @@ def test_canonical_matches_full_and_translate(n, mode):
         other = psi(n, mode, reduction=reduction)
         assert (canonical.value, canonical.exact, canonical.witness) == (
             other.value, other.exact, other.witness), reduction
-    if n in (9, 10, 12):
-        pooled = psi(n, mode, budget=SearchBudget(workers=2))
-        assert (pooled.value, pooled.exact, pooled.witness) == (
-            canonical.value, canonical.exact, canonical.witness)
+
+
+# branches finish out of order in a pool; the tie rule still merges them to
+# the serial witness
+@pytest.mark.parametrize("n,mode", [(9, UNIT), (10, UNIT), (11, UNIT), (12, UNIT), (13, UNIT),
+                                    (9, ANY), (10, ANY), (11, ANY)])
+def test_pooled_psi_matches_serial(n, mode):
+    serial = psi(n, mode)
+    pooled = psi(n, mode, budget=SearchBudget(workers=2))
+    assert (pooled.value, pooled.exact, pooled.witness) == (
+        serial.value, serial.exact, serial.witness)
 
 
 # the canonical reduction's node counts (README); a larger count means a
@@ -538,6 +574,14 @@ def test_canonical_matches_full_and_translate(n, mode):
 @pytest.mark.parametrize("n,mode,most", [(11, UNIT, 6_000), (13, UNIT, 84_000), (10, ANY, 33_000)])
 def test_canonical_node_counts(n, mode, most):
     assert psi(n, mode).nodes_explored <= most
+
+
+# the tie rule's node counts, as in README and tools/bench_psi.py; a branch
+# run below a tie it could have kept, or a witness walk run again, shows here
+@pytest.mark.parametrize("n,mode,nodes", [(11, UNIT, 4_579), (12, UNIT, 25_543),
+                                          (13, UNIT, 63_892), (10, ANY, 22_206)])
+def test_tie_rule_node_counts(n, mode, nodes):
+    assert psi(n, mode).nodes_explored == nodes
 
 
 def test_psi_rejects_unknown_reduction():
