@@ -34,7 +34,7 @@ class BoundExceeded(ModGridError, ValueError):
 
 
 class OutOfRange(ModGridError, ValueError):
-    """Arguments outside the valid range of a closed-form formula."""
+    """Argument outside its valid range."""
 
 
 class CheckpointMismatch(ModGridError, ValueError):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonPrimeModulus, NotInvertible
+from .errors import NonPrimeModulus, NotInvertible, OutOfRange
 
 __all__ = ["mod_inverse", "is_prime", "require_prime"]
 
@@ -16,12 +16,13 @@ def mod_inverse(a: int, n: int) -> int:
     """Multiplicative inverse of a modulo n.
 
     Works for composite n whenever gcd(a, n) == 1; raises NotInvertible
-    otherwise (expected for non-unit residues of composite moduli).
+    otherwise (expected for non-unit residues of composite moduli), and
+    OutOfRange for n < 1 or a residue outside 0..n-1.
     """
     if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+        raise OutOfRange(f"modulus must be >= 1, got {n}")
     if not 0 <= a < n:
-        raise ValueError(f"residue {a} not reduced mod {n}")
+        raise OutOfRange(f"residue {a} not reduced mod {n}")
     try:
         return pow(a, -1, n)
     except ValueError:

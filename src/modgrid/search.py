@@ -104,18 +104,19 @@ rejection by canonical form: McKay, J. Algorithms 26, 1998):
 Canonical branches are split at the third column, so that a pool has work
 to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
 
-The lex-least optimum sigma* lies in psi's branches, so psi returns it, in
-all cases but one.  A translation and a unit scaling of values make
-sigma*(0) = 0 and sigma*(1) = gcd(sigma*(1), n), the images being no
-larger: this covers "none", "translate" and "full".  Under "canonical" at
-composite n, sigma*(1) is its floor d, or the pair at the floor would give
-a smaller image; so sigma* is in branch d, and the floor-1 prune keeps the
-lex-least image.  At prime n, branch r = 2 is every transversal that starts
-(0, 1, 2), as no ratio lies below 2: a result that starts so is sigma*,
-which starts (0, 1) and is no larger.  Any other result (none is known for
-p <= 17) is replaced by the "first" walk (also lex_least_with_count): from
-the empty prefix, with the limit set to the value, to the first completion
-with exactly that many triples, the lexicographically least one.
+The lex-least rule.  Let sigma* be the lex-least transversal with a given
+count.  A translation and a unit scaling of values make sigma*(0) = 0 and
+sigma*(1) = gcd(sigma*(1), n), the images being no larger: so sigma* lies
+in the branches of "none", "translate" and "full", and at prime n, where
+y -> (y - sigma(0))/(sigma(1) - sigma(0)) does it, starts (0, 1).  Under
+"canonical" at composite n, sigma*(1) is its floor d, or the pair at
+the floor would give a smaller image: sigma* is in branch d, and the
+floor-1 prune keeps the lex-least image.  At prime n branch r = 2 comes
+first, has no ratio rows and holds every transversal that starts
+(0, 1, 2), and every branch r > 2 blocks the cell (2, 2): so a result that
+starts (0, 1, 2) is sigma*, and a result on another branch is followed by
+the "first" walk from the empty prefix to the first completion with
+exactly that count (in psi, for no p <= 17).
 
 Grid searches.  max_triple_free_subset and ct0_subsets run one DFS,
 _grid_search, over subsets S of the n^2 cells held as bitmasks.  Both
@@ -226,8 +227,9 @@ class _NodeBudget:
 
     The node count lives in ``left`` (None for no node limit), or, after
     ``share``, in a lock-protected ``multiprocessing.Value`` that pool
-    workers draw on.  ``take`` hands out slices of nodes for psi's hot
-    loop; ``charge`` takes one node for every other search.
+    workers draw on.  ``take`` hands out slices of nodes, _GRANT at a time
+    to the transversal walk and one at a time to the grid searches, and 0
+    when no node or no time is left.
     """
 
     def __init__(self, budget: Optional[SearchBudget], start: float):
@@ -244,17 +246,17 @@ class _NodeBudget:
     def expired(self) -> bool:
         return self.deadline is not None and time.perf_counter() > self.deadline
 
-    def take(self) -> int:
+    def take(self, size: int = _GRANT) -> int:
         if self.expired():
             return 0
         if self.shared is not None:
             with self.shared.get_lock():
-                grant = min(_GRANT, self.shared.value)
+                grant = min(size, self.shared.value)
                 self.shared.value -= grant
             return grant
         if self.left is None:
-            return _GRANT
-        grant = min(_GRANT, self.left)
+            return size
+        grant = min(size, self.left)
         self.left -= grant
         return grant
 
@@ -264,14 +266,6 @@ class _NodeBudget:
                 self.shared.value += unused
         elif self.left is not None:
             self.left += unused
-
-    def charge(self) -> None:
-        """Take one node, checking the deadline; raise _BudgetExhausted when
-        no node or no time is left."""
-        if self.left == 0 or self.expired():
-            raise _BudgetExhausted
-        if self.left is not None:
-            self.left -= 1
 
 
 #: largest n every search accepts.  The cost-matrix fields are 16 bits, and
@@ -743,10 +737,13 @@ def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) 
         # a bare prefix, whose anchor is 0
         data["remaining"] = [(e["anchor"], tuple(e["prefix"])) if isinstance(e, dict)
                              else (0, tuple(e)) for e in data["remaining"]]
-        # a non-null witness is a transversal with ``best`` triples
+        # a non-null witness is a transversal with ``best`` triples; a null
+        # one stands for the seed at prime n, and at composite n for no
+        # completion yet, which rules out a best value and a finished run
         witness = data["witness"]
         sound = all(distinct([a]) and distinct(p) for a, p in data["remaining"]) and (
-            witness is None or len(witness) == n and distinct(witness)
+            witness is None and (is_prime(n) or data["best"] is None and data["remaining"])
+            or witness is not None and len(witness) == n and distinct(witness)
             and count_triples(transversal_points(witness), n, mode) == data["best"])
     except (KeyError, TypeError):
         sound = False
@@ -791,16 +788,15 @@ def psi(
     lexicographically least transversal attaining it.
 
     One branch-and-bound over the branches of ``reduction``, serial or
-    pooled, under the tie rule (see the module docstring); the "first" walk
-    runs only at prime n under "canonical", for a result that does not start
-    (0, 1, 2), or after a version 1 checkpoint.  Budget exhaustion yields
-    exact = False with the best value found so far (an upper bound) and its
-    witness; the checkpoint then keeps every branch not yet finished, so a
-    resumed run gives the uninterrupted result.
+    pooled, under the tie rule and the lex-least rule (see the module
+    docstring); a version 1 checkpoint also owes the "first" walk.  Budget
+    exhaustion yields exact = False with the best value found so far (an
+    upper bound) and its witness; the checkpoint then keeps every branch not
+    yet finished, so a resumed run gives the uninterrupted result.
     """
     _check_bound(n)
     if reduction not in _REDUCTIONS:
-        raise ValueError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
+        raise OutOfRange(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
     budget = budget or SearchBudget()
     start = time.perf_counter()
     if n <= 2:
@@ -931,12 +927,9 @@ def lex_least_with_count(
 ) -> SearchOutcome:
     """Lexicographically least transversal with exactly ``target`` triples.
 
-    The witness-mode walk of ``_search_branch`` from the empty prefix: the
-    first completed permutation hitting the target is returned, or found =
-    False if none does.  A target other than the count of the self-inverse
-    map (hence odd prime n only) is first looked for on psi's canonical
-    branches, which hold an image of every transversal with the same count,
-    and the walk runs only if one of them hits it.
+    The "first" walk of ``_search_branch`` on psi's canonical branches in
+    order, under the lex-least rule (see the module docstring), for odd
+    prime n; found = False when no branch hits the target.
     """
     _check_bound(n)
     require_prime(n, "lex_least_with_count", odd=True)
@@ -945,16 +938,14 @@ def lex_least_with_count(
     start = time.perf_counter()
     engine, nodes_left = _Placement(n, mode), _NodeBudget(budget, start)
     nodes = pruned = 0
-    reachable = target == count_triples(transversal_points(inverse_permutation(n)), n, mode)
     result, aborted = None, False
-    for a, p in [] if reachable else _psi_branches(engine, "canonical"):
-        _, w, p_nodes, p_pruned, aborted = _search_branch(
+    for a, p in _psi_branches(engine, "canonical"):
+        _, result, p_nodes, p_pruned, aborted = _search_branch(
             engine, p, target, nodes_left, "first", anchor=a)
         nodes, pruned = nodes + p_nodes, pruned + p_pruned
-        reachable = w is not None
-        if reachable or aborted:
+        if result is not None or aborted:
             break
-    if reachable:
+    if result is not None and result[:3] != [0, 1, 2]:
         _, result, w_nodes, w_pruned, aborted = _search_branch(
             engine, (), target, nodes_left, "first")
         nodes, pruned = nodes + w_nodes, pruned + w_pruned
@@ -1063,7 +1054,8 @@ def _grid_search(
                 return
             low = cand & -cand
             cand ^= low
-            nodes_left.charge()
+            if not nodes_left.take(1):
+                raise _BudgetExhausted
             nodes += 1
             c = low.bit_length() - 1
             t, block = step(cells, c, quad)

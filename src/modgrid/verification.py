@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .census import count_triples, line_decomposition, transversal_points
 from .constructions import cubic_permutation, g_permutation, inverse_permutation
+from .errors import OutOfRange
 from .geometry import CollinearityMode
 from .modring import is_prime
 from .packing import (
@@ -62,7 +63,7 @@ def _primes_upto(limit: int) -> list[int]:
 
 def run_verification(level: str = "quick") -> tuple[list[CheckResult], bool]:
     if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+        raise OutOfRange(f"level must be 'quick' or 'full', got {level!r}")
     full = level == "full"
     results: list[CheckResult] = []
 

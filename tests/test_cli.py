@@ -10,6 +10,8 @@ from modgrid.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from modgrid.errors import OutOfRange
+from modgrid.verification import run_verification
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +237,11 @@ def test_verify_quick(capsys):
     assert report["result"]["passed"] is True
     assert all(c["passed"] for c in report["result"]["checks"])
     assert "[PASS]" in err and "[FAIL]" not in err
+
+
+def test_run_verification_rejects_unknown_level():
+    with pytest.raises(OutOfRange):
+        run_verification("slow")
 
 
 def test_unknown_arguments(capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from modgrid.errors import NonPrimeModulus, NotInvertible
+from modgrid.errors import NonPrimeModulus, NotInvertible, OutOfRange
 from modgrid.modring import is_prime, mod_inverse, require_prime
 
 
@@ -16,9 +16,9 @@ def test_mod_inverse_examples():
 
 
 def test_mod_inverse_rejects_unreduced():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         mod_inverse(9, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         mod_inverse(0, 0)
 
 

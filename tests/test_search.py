@@ -417,6 +417,21 @@ def test_psi_rejects_a_bad_checkpoint(tmp_path, monkeypatch, case):
         psi(7, checkpoint=str(path))
 
 
+# at composite n a null witness stands for no completion yet, so a file with
+# a best value, or with no branch left, has lost its witness
+@pytest.mark.parametrize("best,remaining", [(None, []), (5, [[0, v] for v in range(1, 9)])])
+def test_psi_rejects_a_composite_checkpoint_without_a_witness(tmp_path, monkeypatch, best,
+                                                              remaining):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({
+        "version": 2, "n": 9, "mode": "unit", "reduction": "translate",
+        "best": best, "witness": None, "remaining": remaining,
+    }))
+    monkeypatch.setattr(search, "_search_branch", _no_search)
+    with pytest.raises(CheckpointMismatch):
+        psi(9, checkpoint=str(path))
+
+
 def test_psi_writes_its_checkpoint_before_the_first_branch(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "_search_branch", _no_search)
     with pytest.raises(OSError):
@@ -576,7 +591,7 @@ def test_canonical_node_counts(n, mode, most):
     assert psi(n, mode).nodes_explored <= most
 
 
-# the tie rule's node counts, as in README and tools/bench_psi.py; a branch
+# the tie rule's node counts, as in README and tools/bench.py; a branch
 # run below a tie it could have kept, or a witness walk run again, shows here
 @pytest.mark.parametrize("n,mode,nodes", [(11, UNIT, 4_579), (12, UNIT, 25_543),
                                           (13, UNIT, 63_892), (10, ANY, 22_206)])
@@ -585,7 +600,7 @@ def test_tie_rule_node_counts(n, mode, nodes):
 
 
 def test_psi_rejects_unknown_reduction():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         psi(5, reduction="transpose")
 
 
@@ -603,19 +618,21 @@ def test_lex_least_not_found():
     # no transversal mod 5 has exactly 1 triple (the minimum is 2)
     out = lex_least_with_count(5, target=1)
     assert not out.found and out.witness is None and out.exact
-    # a target below psi(11) = 5 is refuted by the reduced value search
-    out = lex_least_with_count(11, target=4)
-    assert not out.found and out.witness is None and out.exact
-    assert out.nodes_explored <= psi(11).nodes_explored
-    out = lex_least_with_count(13, target=5)
-    assert not out.found and out.witness is None and out.exact
-    assert out.nodes_explored <= psi(13).nodes_explored
-    # a target above the self-inverse count (5) is looked for on the
-    # canonical branches before any walk from the empty prefix
-    out = lex_least_with_count(11, target=6, budget=SearchBudget(max_nodes=100_000))
-    assert not out.found and out.witness is None and out.exact
     with pytest.raises(NonPrimeModulus):
         lex_least_with_count(6)
+
+
+# the lex-least rule's node counts (README): the default target is hit on
+# branch r = 2, with no walk from the empty prefix; a target below psi
+# (11, 4 and 13, 5) or above the seed's count (11, 6) is refuted on the
+# canonical branches alone
+@pytest.mark.parametrize("p,target,nodes", [(11, None, 2_297), (13, None, 33_833),
+                                            (11, 4, 3_607), (13, 5, 50_101), (11, 6, 8_483)])
+def test_lex_least_node_counts(p, target, nodes):
+    out = lex_least_with_count(p, target, budget=SearchBudget(max_nodes=100_000))
+    assert (out.exact, out.nodes_explored) == (True, nodes)
+    found = target is None
+    assert (out.found, out.witness) == (found, g_permutation(p) if found else None)
 
 
 def test_quadfree_transversal_examples():
