@@ -26,8 +26,8 @@ unit lines).  Cells of used values, and cells a branch excludes (below),
 carry a blocking mark, so a row minimum is a minimum over free values.  A
 is packed into one int of 16-bit fields (see _Placement), so an update is
 a few big-int operations, and each descent builds a new matrix from its
-parent's: backtracking needs no undo.  A node reads only the rows of its
-own and later columns.
+parent's: backtracking needs no undo.  A node's matrix holds only the
+rows of its own and later columns.
 
 One walk, _search_branch, runs every transversal search, under one of
 three objectives.  psi runs "min" once over the branches of its symmetry
@@ -42,7 +42,15 @@ final count V over all branches, in any finishing order (serial, pooled or
 resumed): a branch started at the incumbent count returns it, if it has
 one; so does a branch started below, if V is below its start, and
 otherwise its completions at V come after the incumbent of its start, and
-the incumbent only gets smaller.
+the incumbent only gets smaller.  Since any order will do, psi runs the
+branches at composite n, fresh or resumed, in order of their root bound,
+the prefix's count plus the row minima after it, so that a good first
+incumbent comes early; the sort is stable, so equal bounds keep lex
+order.  At prime n the seed is the first incumbent, and lex order is
+kept: once the branch holding the lex-least optimum has run, every later
+branch runs below the incumbent count, while root-bound order would run
+(0, 1, 2) last under "full", and more branches would keep a tie.
+lex_least_with_count keeps lex order, which its first-hit rule needs.
 
 The quadruple-free maximum ("max") walks with no limit and takes each
 completion with more triples than the last one taken, so the last taken is
@@ -321,48 +329,51 @@ def _origin_sets(n: int, mode: CollinearityMode) -> tuple[list[list[Point]], lis
     return sets, held
 
 
-class _RatioRows(dict):
-    """``rows[dx]`` of the min-ratio rule for the branch with anchor r at
-    prime n, rows as in _Placement.pairs: 1 in every field of row t - 1 when
-    the ratio (dx + t)/dx has an orbit-min below r, so ``pairs[dx*n + dy] &
-    rows[dx]`` holds the later cells on the line through Q = P - (dx, dy)
-    and P that would close a triple of a smaller ratio.  Each row is built
-    when first read: the branch list reads only rows[1] of each anchor."""
-
-    def __init__(self, n: int, anchor: int):
-        super().__init__()
-        self.n, self.anchor, self.omin = n, anchor, _orbit_min(n)
-
-    def __missing__(self, dx: int) -> int:
-        n = self.n
-        line = (1).to_bytes(_FIELD // 8, sys.byteorder) * n
-        width = len(line)
+def _ratio_rows(n: int, anchor: int) -> list[list[int]]:
+    """The min-ratio rule's rows for the branch with anchor r at prime n,
+    by depth: ``rows[pos]`` lists, for the earlier points at dx = pos,
+    pos - 1, ..., 1, the row R(dx), rows as in _Placement.pairs, with 1 in
+    every field of row t - 1 when the ratio (dx + t)/dx has an orbit-min
+    below r.  So the mask of the difference (dx, dy) ANDed with R(dx) holds
+    the later cells on the line through Q = P - (dx, dy) and P that would
+    close a triple of a smaller ratio."""
+    omin = _orbit_min(n)
+    line = (1).to_bytes(_FIELD // 8, sys.byteorder) * n
+    width = len(line)
+    R = [0]
+    for dx in range(1, n):
         buf = bytearray(width * n)
         inv = pow(dx, -1, n)
         # the third column pos + t lies below n, so dx + t < n
         for t in range(1, n - dx):
-            if self.omin[(dx + t) * inv % n] < self.anchor:
+            if omin[(dx + t) * inv % n] < anchor:
                 buf[(t - 1) * width:t * width] = line
-        row = self[dx] = int.from_bytes(buf, sys.byteorder)
-        return row
+        R.append(int.from_bytes(buf, sys.byteorder))
+    return [R[pos:0:-1] for pos in range(n)]
 
 
 class _Placement:
     """Cost matrices of a transversal placed column by column.
 
-    A matrix A is one int of n*n 16-bit fields: field j*n + w counts the
-    placed pairs collinear with cell (j, w), plus bit 15, ``used``, set with
-    OR when the cell is blocked (see ``blocks`` and ``root``).  Counts stay
-    below 2**15 (see SEARCH_BOUND), so the mark never meets a carry.
+    A matrix A is one int of 16-bit fields, n to a row, one row for each
+    column not yet placed: with pos columns placed, field (j - pos)*n + w
+    counts the placed pairs collinear with cell (j, w), plus bit 15,
+    ``used``, set with OR when the cell is blocked (see ``blocks`` and
+    ``root``).  Counts stay below 2**15 (see SEARCH_BOUND), so the mark
+    never meets a carry.
 
     Placing P = (pos, v) adds one mask per earlier point Q = P - (dx, dy):
-    ``pairs[dx*n + dy]``, the cells collinear with Q and P, kept for P at
-    (0, 0) with row r standing for column r + 1.  It is the union of the
-    origin sets that hold (dx, dy) (see _origin_sets): for prime n the one
-    line through 0 of slope dy/dx.  Differences held by the same sets share
-    one int.  The sum of the masks is rotated by v within each row and
-    shifted to column pos + 1.  The shift drops every row past column
-    n - 1, among them row n - dx - 1, which holds Q itself (mod n).
+    ``pairs[dx*2n + n + e]``, e = dy or dy - n, the cells collinear with Q
+    and P, kept for P at (0, 0) with row r standing for column r + 1.  It
+    is the union of the origin sets that hold (dx, dy) (see _origin_sets):
+    for prime n the one line through 0 of slope dy/dx.  Differences held by
+    the same sets share one int.  Rows of 2n entries take e = v - y for Q
+    = (i, y) with no reduction mod n, so Q's mask is ``pairs[2n*pos + v +
+    o]`` with Q's offset o = n - y - 2n*i (see ``offset``).  The sum of the
+    masks is rotated by v within each row and added to A without its first
+    row, column pos, so that its row r lands on column pos + 1 + r; every
+    row past column n - 1 is cut off, among them row n - dx - 1, which
+    holds Q itself (mod n).
     """
 
     def __init__(self, n: int, mode: CollinearityMode):
@@ -375,6 +386,8 @@ class _Placement:
         # the used bit of every field, and the count bits below it
         self.marks = self.full // ((1 << _FIELD) - 1) * self.used
         self.low = self.full ^ self.marks
+        # trunc[pos]: all bits of the rows of columns pos + 1..n-1
+        self.trunc = [(1 << (n - 1 - pos) * n * _FIELD) - 1 for pos in range(n)]
         # keep[v]: all bits of the fields of columns >= v in rows 0..n-2;
         # wrap[v]: those of the other columns
         ones = (1 << _FIELD) - 1
@@ -383,7 +396,8 @@ class _Placement:
         self.wrap = [self.keep[0] ^ k for k in self.keep]
         # the tables of one floor and of one anchor, built when first asked for
         self._blocks: tuple = (None, [])
-        self._rows: tuple = (None, None)
+        self._pinned: tuple = (None, None)
+        self.no_rows: list = [None] * n
         # inv[u]: the inverse of u, 0 for a non-unit
         self.inv = [pow(u, -1, n) if math.gcd(u, n) == 1 else 0 for u in range(n)]
         # the sets are closed under negation, so Q = -e lies in the same sets
@@ -391,7 +405,8 @@ class _Placement:
         sets, self.held = _origin_sets(n, mode)
         self._set_masks = [self.mask((x - 1, y) for x, y in cells if x) for cells in sets]
         self._unions: dict[int, int] = {}
-        self.pairs = [0] * n + [self.union(h) for h in self.held[n:]]
+        self.pairs = [0] * (2 * n) + [self.union(self.held[dx * n + e % n])
+                                      for dx in range(1, n) for e in range(-n, n)]
 
     def union(self, h: int) -> int:
         """The union of the origin sets whose bits are set in ``h``, rows as
@@ -424,22 +439,33 @@ class _Placement:
             self._blocks = (floor, [self.rotate(block, v) for v in range(n)])
         return self._blocks[1]
 
-    def ratio_rows(self, anchor: int) -> Optional[_RatioRows]:
-        """The min-ratio rule's rows for the branch with ``anchor`` r at
-        prime n; None for r = 2, the least orbit-min, below which no ratio
-        lies.  One anchor's rows are kept at a time."""
-        if self._rows[0] != anchor:
-            self._rows = (anchor, _RatioRows(self.n, anchor) if anchor > 2 else None)
-        return self._rows[1]
+    def pinned(self, anchor: int) -> tuple[int, list]:
+        """(pin, rows) of the branch with ``anchor`` r at prime n: the
+        matrix with the used mark on row r and on column r but not on the
+        cell (r, r), 0 for r = 0, and the min-ratio rule's rows by depth
+        (see _ratio_rows), None at every depth for r <= 2 (2 is the least
+        orbit-min, below which no ratio lies).  One anchor's are kept at a
+        time."""
+        if self._pinned[0] != anchor:
+            n = self.n
+            self._pinned = (None, None)  # free the old rows before the new ones are built
+            pin = anchor and self.mask([(j, anchor) for j in range(n) if j != anchor]
+                                       + [(anchor, w) for w in range(n) if w != anchor],
+                                       self.used)
+            self._pinned = (anchor, (pin, _ratio_rows(n, anchor) if anchor > 2 else self.no_rows))
+        return self._pinned[1]
 
-    def tables(self, anchor: int) -> tuple[list[int], Optional[_RatioRows], bool]:
-        """(blocks, rows, lex) of the branch with ``anchor`` (see root):
-        ``blocks(floor)``, ``ratio_rows(anchor)`` at prime n, and whether the
-        adjacent-pair lex-leader prune applies, on the floor-1 branch at
-        composite n."""
+    def tables(self, anchor: int) -> tuple[int, list[int], list, bool]:
+        """(A, blocks, rows, lex) of the branch with ``anchor`` (see root):
+        the matrix before the prefix is placed (``pinned(anchor)``'s pin at
+        prime n, else 0), ``blocks(floor)``, the ratio rows by depth
+        (``pinned(anchor)``'s at prime n, else None at every depth), and
+        whether the adjacent-pair lex-leader prune applies, on the floor-1
+        branch at composite n."""
         if self.prime:
-            return self.blocks(0), self.ratio_rows(anchor), False
-        return self.blocks(anchor), None, anchor == 1
+            pin, rows = self.pinned(anchor)
+            return pin, self.blocks(0), rows, False
+        return 0, self.blocks(anchor), self.no_rows, anchor == 1
 
     def rotate(self, M: int, v: int) -> int:
         """``M``, rows as in ``pairs``, with every row rotated by v: the
@@ -458,33 +484,40 @@ class _Placement:
         common = {h & g for h, g in itertools.combinations(d, 2)}
         return self.rotate(reduce(or_, map(self.union, common), 0), v) << (_FIELD - 1)
 
-    def place(self, A: int, sigma: Sequence[int], v: int, block: int,
-              rows: Optional[_RatioRows] = None) -> int:
-        """The matrix after adding (len(sigma), v) to the placement ``sigma``;
-        ``block`` is ``blocks(floor)[v]``, with ``quad_block`` ORed in for a
-        quadruple-free search, and ``rows`` the branch's ``ratio_rows``."""
+    def offset(self, i: int, y: int) -> int:
+        """The offset of the placed point (i, y) in ``pairs`` (see above)."""
+        return self.n - y - 2 * self.n * i
+
+    def place(self, A: int, offs: Sequence[int], v: int, block: int,
+              ratio: Optional[list[int]]) -> int:
+        """The matrix after adding (len(offs), v) to the placement whose
+        points have the offsets ``offs``; ``block`` is ``blocks(floor)[v]``,
+        with ``quad_block`` ORed in for a quadruple-free search, and
+        ``ratio`` the branch's ratio rows at this depth."""
         n = self.n
-        pos = len(sigma)
+        pos = len(offs)
+        k = 2 * n * pos + v
         pairs = self.pairs
-        masks = [pairs[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)]
-        if rows is not None:
-            # the cells the min-ratio rule blocks, rows[dx] for the earlier
-            # points at dx = pos, pos - 1, ..., 1, ride in the used bits of
+        masks = [pairs[k + o] for o in offs]
+        if ratio is not None:
+            # the cells the min-ratio rule blocks ride in the used bits of
             # the sum, above its counts, through one rotation
-            ratio = map(and_, masks, map(rows.__getitem__, range(pos, 0, -1)))
-            add = self.rotate(sum(masks) | reduce(or_, ratio, 0) << (_FIELD - 1), v)
+            add = self.rotate(sum(masks) | reduce(or_, map(and_, masks, ratio), 0)
+                              << (_FIELD - 1), v)
             block |= add & self.marks
             add &= self.low
         else:
             add = self.rotate(sum(masks), v)
-        shift = (pos + 1) * n * _FIELD
-        return ((A + (add << shift)) | (block << shift)) & self.full
+        return ((A >> n * _FIELD) + add | block) & self.trunc[pos]
 
-    def counts(self, A: int, pos: int = 0) -> list[int]:
-        """The fields of rows pos..n-1 of ``A`` as a list of ints."""
-        skip = pos * self.n * _FIELD
-        return memoryview((A >> skip).to_bytes(self.nbytes - skip // 8, sys.byteorder)
-                          ).cast("H").tolist()
+    def counts(self, A: int, pos: int = 0) -> list[list[int]]:
+        """The rows of ``A``, a matrix with ``pos`` columns placed (columns
+        pos..n-1), each a list of its n fields."""
+        n = self.n
+        if pos == n:
+            return []
+        return memoryview(A.to_bytes((n - pos) * n * _FIELD // 8, sys.byteorder)
+                          ).cast("H", [n - pos, n]).tolist()
 
     def lex(self, sigma: Sequence[int], v: int, ties: list) -> Optional[list]:
         """The +1 images still tied after adding (len(sigma), v) to ``sigma``
@@ -524,16 +557,13 @@ class _Placement:
         apply.  A blocked cell in ``prefix``, or one that an adjacent image
         beats, adds the used mark to ``count``."""
         n = self.n
-        A = 0
-        if self.prime and anchor:
-            A = self.mask([(j, anchor) for j in range(n) if j != anchor]
-                          + [(anchor, w) for w in range(n) if w != anchor], self.used)
-        blocks, rows, lex = self.tables(anchor)
+        A, blocks, ratios, lex = self.tables(anchor)
         ties = [] if lex else None
         sigma: list[int] = []
+        offs: list[int] = []
         count = 0
-        for v in prefix:
-            a = self.counts(A, len(sigma))[v]
+        for pos, v in enumerate(prefix):
+            a = A >> v * _FIELD & 0xFFFF
             if ties is not None:
                 kept = self.lex(sigma, v, ties)
                 if kept is None:
@@ -541,16 +571,19 @@ class _Placement:
                 else:
                     ties = kept
             count += a
-            A = self.place(A, sigma, v,
+            A = self.place(A, offs, v,
                            blocks[v] | self.quad_block(sigma, v) if quad and a else blocks[v],
-                           rows)
+                           ratios[pos])
             sigma.append(v)
+            offs.append(self.offset(pos, v))
         return A, sigma, count, ties
 
-    def rest(self, vals: list[int], pos: int) -> int:
-        """Lower bound on the triples still to close in columns pos..n-1."""
-        n = self.n
-        return sum([min(vals[b:b + n]) for b in range(pos * n, n * n, n)])
+    def root_bound(self, prefix: Sequence[int], anchor: int = 0) -> int:
+        """The look-ahead bound at the root of a branch: the count of
+        ``prefix`` plus the least field of each later row, the test
+        _search_branch makes at its entry."""
+        A, _, count, _ = self.root(prefix, anchor)
+        return count + sum(map(min, self.counts(A, len(prefix))))
 
 
 def _search_branch(
@@ -574,14 +607,20 @@ def _search_branch(
     lex-least maximum; a node with a fully blocked later column is pruned.
     Every free cell of a node's column is a child and counts as a node; a
     child over the limit, or one that an adjacent image beats (see
-    _Placement.lex), is pruned.  Returns (count, witness, nodes, pruned,
-    aborted), with count and witness None when no completion was taken.
+    _Placement.lex), is pruned.  When the node's own bound, its count plus
+    its rows' minima, is over the limit, so is every child: they are
+    counted as nodes and pruned in one step, if the slice of the budget
+    already granted holds them all, and one by one otherwise, so that
+    ``max_nodes`` stays an exact cap.  Returns (count, witness, nodes,
+    pruned, aborted), with count and witness None when no completion was
+    taken.
     """
     n = engine.n
     place, counts, lex, used_at = engine.place, engine.counts, engine.lex, engine.used
     quad = objective == "max"
-    blocks, rows, _ = engine.tables(anchor)
+    _, blocks, ratios, _ = engine.tables(anchor)
     A0, sigma, count, ties0 = engine.root(prefix, anchor, quad)
+    offs = [engine.offset(i, y) for i, y in enumerate(sigma)]
     start_pos = len(prefix)
     nodes = granted = pruned = 0
     value: Optional[int] = None
@@ -599,16 +638,23 @@ def _search_branch(
 
     def rec(pos: int, cnt: int, A: int, ties: Optional[list]) -> bool:
         nonlocal nodes, granted, pruned
-        vals = counts(A, pos)
-        # each row's least field: map zips n turns of one iterator
-        mins = list(map(min, *[iter(vals)] * n))
+        rows = counts(A, pos)
+        mins = list(map(min, rows))
         if quad and max(mins[1:], default=0) >= used_at:
             # a later column has no free cell, so no completion lies below
             pruned += 1
             return False
-        base = cnt + sum(mins) - mins[0]
-        for v in range(n):
-            a = vals[v]
+        base = cnt + sum(mins)
+        if base > limit:
+            # every free child is over the limit
+            free = sum(map(used_at.__gt__, rows[0]))
+            if nodes + free <= granted:
+                nodes += free
+                pruned += free
+                return False
+        base -= mins[0]
+        ratio, off = ratios[pos], n - 2 * n * pos  # offset(pos, 0)
+        for v, a in enumerate(rows[0]):
             if a >= used_at:
                 continue
             nodes += 1
@@ -626,11 +672,13 @@ def _search_branch(
                 sigma.append(v)
                 done = finish(base + a)
             else:
-                child = place(A, sigma, v,
+                child = place(A, offs, v,
                               blocks[v] | engine.quad_block(sigma, v) if quad and a else blocks[v],
-                              rows)
+                              ratio)
                 sigma.append(v)
+                offs.append(off - v)
                 done = rec(pos + 1, cnt + a, child, kept)
+                offs.pop()
             if done:
                 return True
             sigma.pop()
@@ -638,7 +686,7 @@ def _search_branch(
 
     aborted = False
     # a prefix already past the bound is a single pruned node
-    if count + engine.rest(counts(A0), start_pos) > limit:
+    if count + sum(map(min, counts(A0, start_pos))) > limit:
         pruned += 1
     elif start_pos == n:
         finish(count)
@@ -705,15 +753,16 @@ def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[i
     # split at the third column, so that a pool has work to share
     branches = []
     for anchor, prefix in roots:
-        vals = engine.counts(engine.root(prefix, anchor)[0])
-        branches += [(anchor, prefix + (v,)) for v in range(n)
-                     if vals[2 * n + v] < engine.used]
+        third = engine.counts(engine.root(prefix, anchor)[0], 2)[0]
+        branches += [(anchor, prefix + (v,)) for v, a in enumerate(third) if a < engine.used]
     return branches
 
 
-def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) -> dict:
+def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str,
+                     seed: Optional[int]) -> dict:
     """The checkpoint at ``path``; CheckpointMismatch for one that does not
-    parse, does not match the call or does not hold together."""
+    parse, does not match the call or does not hold together.  ``seed`` is
+    the count of the prime seed, None at composite n."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -738,11 +787,12 @@ def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) 
         data["remaining"] = [(e["anchor"], tuple(e["prefix"])) if isinstance(e, dict)
                              else (0, tuple(e)) for e in data["remaining"]]
         # a non-null witness is a transversal with ``best`` triples; a null
-        # one stands for the seed at prime n, and at composite n for no
-        # completion yet, which rules out a best value and a finished run
+        # one stands for the seed at prime n, so ``best`` is the seed's
+        # count, and at composite n for no completion yet, which rules out a
+        # best value and a finished run
         witness = data["witness"]
         sound = all(distinct([a]) and distinct(p) for a, p in data["remaining"]) and (
-            witness is None and (is_prime(n) or data["best"] is None and data["remaining"])
+            witness is None and data["best"] == seed and (seed is not None or data["remaining"])
             or witness is not None and len(witness) == n and distinct(witness)
             and count_triples(transversal_points(witness), n, mode) == data["best"])
     except (KeyError, TypeError):
@@ -787,12 +837,13 @@ def psi(
     """Minimum collinear-triple count over all transversals of Z_n, with the
     lexicographically least transversal attaining it.
 
-    One branch-and-bound over the branches of ``reduction``, serial or
-    pooled, under the tie rule and the lex-least rule (see the module
-    docstring); a version 1 checkpoint also owes the "first" walk.  Budget
-    exhaustion yields exact = False with the best value found so far (an
-    upper bound) and its witness; the checkpoint then keeps every branch not
-    yet finished, so a resumed run gives the uninterrupted result.
+    One branch-and-bound over the branches of ``reduction``, in root-bound
+    order at composite n, serial or pooled, under the tie rule and the
+    lex-least rule (see the module docstring); a version 1 checkpoint also
+    owes the "first" walk.  Budget exhaustion yields exact = False with the best value found
+    so far (an upper bound) and its witness; the checkpoint then keeps every
+    branch not yet finished, so a resumed run gives the uninterrupted
+    result.
     """
     _check_bound(n)
     if reduction not in _REDUCTIONS:
@@ -805,13 +856,14 @@ def psi(
     engine = _Placement(n, mode)
     best: float = math.inf
     witness: Optional[list[int]] = None
+    seed = None
     if engine.prime:
         # the self-inverse construction is the first incumbent
         witness = inverse_permutation(n)
-        best = count_triples(transversal_points(witness), n, mode)
+        best = seed = count_triples(transversal_points(witness), n, mode)
 
     if checkpoint and os.path.exists(checkpoint):
-        data = _load_checkpoint(checkpoint, n, mode, reduction)
+        data = _load_checkpoint(checkpoint, n, mode, reduction, seed)
         red, branches = data["reduction"], data["remaining"]
         # a null witness stands for no completion yet, or the prime seed
         if data["witness"] is not None and (data["best"], data["witness"]) < (best, witness):
@@ -823,6 +875,9 @@ def psi(
         red = "canonical" if reduction == "auto" else reduction
         branches = _psi_branches(engine, red)
         walk = False
+    if not engine.prime:
+        # with no seed, the branch of the least root bound first
+        branches.sort(key=lambda b: engine.root_bound(b[1], b[0]))
     version = 1 if walk else CHECKPOINT_VERSION
     if checkpoint:
         # an unwritable path fails here, before any branch is searched

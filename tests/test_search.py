@@ -145,11 +145,11 @@ def _bound_case(n, mode, prefix):
     """(cnt, node bound, {v: child bound}) of the engine at ``prefix``."""
     engine = _Placement(n, mode)
     A, _, cnt, _ = engine.root(prefix)
-    vals = engine.counts(A)
-    pos = len(prefix)
-    node = cnt + engine.rest(vals, pos)
-    rest = engine.rest(vals, pos + 1)
-    children = {v: cnt + vals[pos * n + v] + rest for v in range(n) if v not in prefix}
+    rows = engine.counts(A, len(prefix))
+    node = cnt + sum(map(min, rows))
+    assert node == engine.root_bound(prefix)
+    rest = sum(map(min, rows[1:]))
+    children = {v: cnt + rows[0][v] + rest for v in range(n) if v not in prefix}
     return cnt, node, children
 
 
@@ -262,6 +262,59 @@ def test_resume_from_a_checkpoint_holding_the_prime_seed(tmp_path):
     assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
 
 
+# a null witness at prime n stands for the seed, so only the seed's count
+# (5 at n = 11) goes with it
+@pytest.mark.parametrize("best", [3, 9, None])
+def test_psi_rejects_a_prime_checkpoint_whose_best_is_not_the_seed(tmp_path, monkeypatch, best):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({
+        "version": 2, "n": 11, "mode": "unit", "reduction": "canonical",
+        "best": best, "witness": None, "remaining": [],
+    }))
+    monkeypatch.setattr(search, "_search_branch", _no_search)
+    with pytest.raises(CheckpointMismatch):
+        psi(11, checkpoint=str(path))
+
+
+def _root_bound(n, branch):
+    """The look-ahead bound at the root of a canonical branch, from the
+    engine's cost matrix."""
+    engine = _Placement(n, UNIT)
+    anchor, prefix = branch
+    A, _, count, _ = engine.root(prefix, anchor)
+    return count + sum(min(row) for row in engine.counts(A, len(prefix)))
+
+
+# the root bounds differ at both n, so the two orders differ
+@pytest.mark.parametrize("n", [7, 12])
+def test_fresh_checkpoint_lists_root_bound_order_at_composite_n_only(tmp_path, n):
+    path = tmp_path / "ckpt.json"
+    # no node is granted, so the first branch aborts and every branch remains
+    assert not psi(n, budget=SearchBudget(max_nodes=0), checkpoint=str(path)).exact
+    listed = [(e["anchor"], tuple(e["prefix"])) for e in json.loads(path.read_text())["remaining"]]
+    lex = _psi_branches(_Placement(n, UNIT), "canonical")
+    # a stable sort: equal bounds keep lex order
+    by_bound = sorted(lex, key=lambda b: _root_bound(n, b))
+    assert by_bound != lex
+    assert listed == (lex if is_prime(n) else by_bound)
+
+
+def test_resume_from_a_lex_ordered_checkpoint(tmp_path):
+    # a checkpoint listing its branches in lex order, as written before the
+    # branches were ordered by their root bound
+    ref = psi(12)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({
+        "version": 2, "n": 12, "mode": "unit", "reduction": "canonical",
+        "best": None, "witness": None,
+        "remaining": [{"anchor": a, "prefix": list(p)}
+                      for a, p in _psi_branches(_Placement(12, UNIT), "canonical")],
+    }))
+    resumed = psi(12, checkpoint=str(path))
+    assert (resumed.value, resumed.exact, resumed.witness, resumed.nodes_explored) == (
+        ref.value, True, ref.witness, ref.nodes_explored)
+
+
 def test_transversal_search_bound():
     # the largest prime under the bound builds its tables and runs budgeted
     out = psi(127, budget=SearchBudget(max_nodes=2000))
@@ -339,17 +392,17 @@ def test_max_nodes_is_an_exact_cap(name):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 12])
 @pytest.mark.parametrize("mode", [ANY, UNIT])
 def test_composite_masks_match_closed_form(n, mode):
-    # pairs[dx*n + dy] marks the cells (t, f), 1 <= t < n, collinear with
-    # P = (0, 0) and Q = (-dx, -dy); row t - 1 stands for column t, and the
-    # cell (n - dx, -dy) is Q itself
+    # pairs[dx*2n + n + e], e = dy or dy - n, marks the cells (t, f),
+    # 1 <= t < n, collinear with P = (0, 0) and Q = (-dx, -dy); row t - 1
+    # stands for column t, and the cell (n - dx, -dy) is Q itself
     engine = _Placement(n, mode)
     for dx in range(1, n):
-        for dy in range(n):
-            fields = engine.counts(engine.pairs[dx * n + dy])
-            q = (-dx % n, -dy % n)
-            want = [int(t < n and ((t, f) == q or collinear_triple(q, (0, 0), (t, f), n, mode)))
-                    for t in range(1, n + 1) for f in range(n)]
-            assert fields == want, (n, mode, dx, dy)
+        for e in range(-n, n):
+            rows = engine.counts(engine.pairs[dx * 2 * n + n + e])
+            q = (-dx % n, -e % n)
+            want = [[int(t < n and ((t, f) == q or collinear_triple(q, (0, 0), (t, f), n, mode)))
+                     for f in range(n)] for t in range(1, n + 1)]
+            assert rows == want, (n, mode, dx, e)
 
 
 @pytest.mark.parametrize("n,mode", [(7, UNIT), (9, UNIT), (10, UNIT), (11, UNIT), (10, ANY)])
@@ -584,19 +637,27 @@ def test_pooled_psi_matches_serial(n, mode):
         serial.value, serial.exact, serial.witness)
 
 
-# the canonical reduction's node counts (README); a larger count means a
-# prune was lost
-@pytest.mark.parametrize("n,mode,most", [(11, UNIT, 6_000), (13, UNIT, 84_000), (10, ANY, 33_000)])
-def test_canonical_node_counts(n, mode, most):
-    assert psi(n, mode).nodes_explored <= most
-
-
-# the tie rule's node counts, as in README and tools/bench.py; a branch
-# run below a tie it could have kept, or a witness walk run again, shows here
-@pytest.mark.parametrize("n,mode,nodes", [(11, UNIT, 4_579), (12, UNIT, 25_543),
-                                          (13, UNIT, 63_892), (10, ANY, 22_206)])
+# psi's node counts under the canonical reduction, the tie rule and the
+# branch order (root-bound at composite n, lex at prime n), as in README and
+# tools/bench.py: a lost prune, a branch run below a tie it could have
+# kept, a witness walk run again or a change of branch order shows here
+@pytest.mark.parametrize("n,mode,nodes", [(9, UNIT, 1_193), (10, UNIT, 2_824),
+                                          (11, UNIT, 4_579), (12, UNIT, 13_022),
+                                          (13, UNIT, 63_892), (9, ANY, 1_268),
+                                          (10, ANY, 21_741)])
 def test_tie_rule_node_counts(n, mode, nodes):
     assert psi(n, mode).nodes_explored == nodes
+
+
+# a bulk-counted node (every child over the limit) is charged in one step
+# only when the slice already granted holds it: at k = 9 and 9_020 the
+# budget ends inside one, at 4_098 and 5_000 one spans the end of the first
+# 4_096-node slice
+@pytest.mark.parametrize("k", [1, 9, 4_095, 4_098, 5_000, 9_020, 63_891])
+def test_psi_budget_is_an_exact_cap_across_bulk_counted_nodes(k):
+    out = psi(13, budget=SearchBudget(max_nodes=k))
+    assert (out.exact, out.nodes_explored) == (False, k)
+    assert psi(13, budget=SearchBudget(max_nodes=63_892)).exact
 
 
 def test_psi_rejects_unknown_reduction():
@@ -724,12 +785,13 @@ def test_quadruple_blocks_are_the_cells_that_complete_a_quadruple(data, mode):
             break
         prefix.append(v)
     engine = _Placement(n, mode)
-    vals = engine.counts(engine.root(prefix, quad=True)[0])
+    pos = len(prefix)
+    rows = engine.counts(engine.root(prefix, quad=True)[0], pos)
     placed = list(enumerate(prefix))
-    for j in range(len(prefix), n):
+    for j in range(pos, n):
         for w in set(range(n)) - set(prefix):
             closes = count_quadruples(placed + [(j, w)], n, mode) > 0
-            assert (vals[j * n + w] >= engine.used) == closes, (n, mode, prefix, j, w)
+            assert (rows[j - pos][w] >= engine.used) == closes, (n, mode, prefix, j, w)
 
 
 # (value, witness) of ct0_subsets for n = 2..4, as the exhaustive subset

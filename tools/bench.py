@@ -6,8 +6,9 @@ The package is imported from ``src/`` of the checkout holding this script:
 
 Each call of each topic in TOPICS runs REPEAT times in this one process,
 serially and unbudgeted, with its defaults.  Node counts do not depend on
-the machine, so they compare across machines; the seconds are given with
-the core count and the interpreter.  Each call's result is printed, and
+the machine, so they compare across machines; the seconds, and the nodes
+per second of the median run, are given with the core count and the
+interpreter.  Each call's result is printed, and
 each topic is written as JSON to BENCH_<topic>.json in the current
 directory.
 """
@@ -63,6 +64,7 @@ def main() -> int:
                 "nodes": out.nodes_explored,
                 "pruned": out.nodes_pruned,
                 "median_s": round(statistics.median(seconds), 4),
+                "nodes_per_s": round(out.nodes_explored / statistics.median(seconds)),
                 "seconds": [round(s, 4) for s in seconds],
             })
             print(json.dumps(rows[-1]), flush=True)
