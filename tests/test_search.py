@@ -637,6 +637,13 @@ def test_pooled_psi_matches_serial(n, mode):
         serial.value, serial.exact, serial.witness)
 
 
+# the canonical reduction's node counts (README); a larger count means a
+# prune was lost. test_tie_rule_node_counts pins the exact counts
+@pytest.mark.parametrize("n,mode,most", [(11, UNIT, 6_000), (13, UNIT, 84_000), (10, ANY, 33_000)])
+def test_canonical_node_counts(n, mode, most):
+    assert psi(n, mode).nodes_explored <= most
+
+
 # psi's node counts under the canonical reduction, the tie rule and the
 # branch order (root-bound at composite n, lex at prime n), as in README and
 # tools/bench.py: a lost prune, a branch run below a tie it could have
