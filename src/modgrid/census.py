@@ -1,25 +1,29 @@
 """Exact counting of collinear triples/quadruples and slope statistics.
 
-Prime n: two distinct points lie on exactly one line, so one pass over the
-pairs counts the pairs on each line, keyed s*n + c for the line
-y = s*x + c and n*n + c for the vertical line x = c.  A line holding c pairs
-holds k points with C(k, 2) = c, k = (1 + isqrt(1 + 8c)) / 2, and the set
-has sum C(k, 3) collinear triples and sum C(k, 4) quadruples.  Slopes need
-the inverses of the x-differences that occur, computed as they first occur.
+Prime n: one pass of slope classes.  Sort the points by x; for each point
+P, group the later points in other columns by their slope from P.  A
+collinear r-subset (r >= 2) off the vertical lines has r distinct x; its
+x-least point P sees the other r - 1 in the class of the line's slope, and
+any r - 1 points of a class lie on one line with P (two points lie on one
+line).  So each is counted once, C(c, r - 1) per class of c points, plus
+C(k, r) per column of k points.  The inverses of the x-differences are
+taken for all of 1..n-1 when n is at most the number of pairs, else for
+those that occur, so the table never costs more than the pass.
+``line_decomposition`` keys the slope s from P by the line y = s*x + c, as
+s*n + c (x = c as n*n + c): a line of k points collects its C(k, 2) pairs.
 
 Composite n: the line through two points need not be unique.  Each subset
-is charged to its first point p0; for each p0 the differences of the later
-points are taken once, every triple is the closed-form test of ``geometry``
-on one 2x2 minor, and every quadruple extending a collinear triple one more
-test on three minors: O(m^3) tests for triples.
+is charged to its first point p0, whose differences to the later points are
+taken once; a triple is the closed-form test of ``geometry`` on one 2x2
+minor, a quadruple extending a collinear triple one more on three minors.
 
-``count_triples_naive`` and ``count_quadruples_naive`` scan subsets with
-the line-scan predicate ``collinear_set`` alone, at O(n^2) per subset.  They
-are the oracles the counts are tested against, for small n only.
+``count_triples_naive`` and ``count_quadruples_naive``, the oracles of the
+tests, scan subsets with the line scan ``collinear_set``, O(n^2) a subset.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +34,6 @@ from typing import Sequence
 from .errors import DegenerateInput, OutOfRange
 from .geometry import (
     DEFAULT_MODE,
-    INF,
     CollinearityMode,
     ModularLine,
     Point,
@@ -54,12 +57,9 @@ __all__ = [
 
 @dataclass
 class TripleCensus:
-    """Line-by-line census of a point set (prime modulus).
-
-    ``lines`` holds every line meeting the set in k >= 2 points together
-    with k, ordered by (a, b, c), built on first access from ``pairs`` (the
-    pair count per line); triple/quadruple totals are binomial sums.
-    """
+    """Line-by-line census of a point set (prime modulus): ``lines`` holds
+    every line meeting the set in k >= 2 points with k, ordered by (a, b, c),
+    built on first access from ``pairs``, the pair count per line."""
 
     triples: int
     quadruples: int
@@ -116,33 +116,21 @@ def count_quadruples_naive(
     return sum(1 for q in combinations(pts, 4) if collinear_set(q, n, mode))
 
 
-def _pairs_per_line(pts: list[Point], n: int) -> Counter:
-    """Pairs of the point set on each line (prime n), keyed as in the
-    module docstring."""
-    inv: dict[int, int] = {}
-    vertical = n * n
-    keys = []
-    for i, (px, py) in enumerate(pts):
-        for qx, qy in pts[i + 1:]:
-            dx = (qx - px) % n
-            if dx:
-                if dx not in inv:
-                    inv[dx] = pow(dx, -1, n)
-                s = (qy - py) * inv[dx] % n
-                keys.append(s * n + (py - s * px) % n)
-            else:
-                keys.append(vertical + px)
-    return Counter(keys)
+def _slope_classes(pts: list[Point], n: int):
+    """(px, py, slopes) for each point P of ``pts`` in x order: the slopes
+    from P to the later points in other columns (prime n)."""
+    pts = sorted(pts)
+    xs = {x for x, _ in pts}
+    diffs = range(1, n) if n <= comb(len(pts), 2) else {b - a for a in xs for b in xs if b > a}
+    inv = {d: pow(d, -1, n) for d in diffs}
+    for px, py in pts:
+        yield px, py, [(qy - py) * inv[qx - px] % n
+                       for qx, qy in pts[bisect_left(pts, (px + 1,)):]]
 
 
 def _points_on(pairs: int) -> int:
     """k with C(k, 2) == pairs."""
     return (1 + math.isqrt(1 + 8 * pairs)) // 2
-
-
-def _binomial_sum(lines: Counter, r: int) -> int:
-    """Sum of C(k, r) over the lines of a pair count."""
-    return sum(comb(_points_on(c), r) * m for c, m in Counter(lines.values()).items())
 
 
 def _composite_counts(
@@ -169,39 +157,48 @@ def _composite_counts(
 def line_decomposition(points: Sequence[Point], n: int) -> TripleCensus:
     """Full line census of a point set (prime n): every line with k >= 2."""
     require_prime(n, "line_decomposition")
-    lines = _pairs_per_line(_checked_points(points, n), n)
-    return TripleCensus(_binomial_sum(lines, 3), _binomial_sum(lines, 4), n, lines)
+    pts = _checked_points(points, n)
+    keys = []
+    for px, py, slopes in _slope_classes(pts, n):
+        keys += [s * n + (py - s * px) % n for s in slopes]
+    lines = Counter(keys)
+    lines.update({n * n + x: comb(k, 2) for x, k in Counter(x for x, _ in pts).items() if k > 1})
+    pairs = Counter(lines.values())
+    triples, quads = (sum(comb(_points_on(c), r) * m for c, m in pairs.items()) for r in (3, 4))
+    return TripleCensus(triples, quads, n, lines)
+
+
+def _count(points: Sequence[Point], n: int, mode: CollinearityMode, r: int) -> int:
+    """Collinear r-subsets, r = 3 or 4 (see the module docstring)."""
+    pts = _checked_points(points, n)
+    if not is_prime(n):
+        return _composite_counts(pts, n, mode, quadruples=r == 4)[r - 3]
+    sizes: Counter = Counter()
+    for _, _, slopes in _slope_classes(pts, n):
+        sizes.update(Counter(slopes).values())
+    return (sum(comb(c, r - 1) * m for c, m in sizes.items())
+            + sum(comb(k, r) for k in Counter(x for x, _ in pts).values()))
 
 
 def count_triples(
     points: Sequence[Point], n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> int:
     """Exact number of collinear 3-subsets of the point set."""
-    pts = _checked_points(points, n)
-    if is_prime(n):
-        return _binomial_sum(_pairs_per_line(pts, n), 3)
-    return _composite_counts(pts, n, mode, quadruples=False)[0]
+    return _count(points, n, mode, 3)
 
 
 def count_quadruples(
     points: Sequence[Point], n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> int:
     """Exact number of collinear 4-subsets of the point set."""
-    pts = _checked_points(points, n)
-    if is_prime(n):
-        return _binomial_sum(_pairs_per_line(pts, n), 4)
-    return _composite_counts(pts, n, mode, quadruples=True)[1]
+    return _count(points, n, mode, 4)
 
 
 def slope_histogram(sigma: Sequence[int], n: int) -> dict:
-    """Pair counts per slope class for a transversal (prime n).
-
-    For a permutation graph, slopes 0 and INF never occur and the counts
-    total C(n, 2).
-    """
+    """Pair counts per slope for a transversal (prime n): slopes 0 and INF
+    never occur, and the counts total C(n, 2)."""
     require_prime(n, "slope_histogram")
-    hist: dict = {}
-    for key, pairs in _pairs_per_line(transversal_points(sigma), n).items():
-        s = INF if key >= n * n else key // n
-        hist[s] = hist.get(s, 0) + pairs
-    return hist
+    hist: Counter = Counter()
+    for _, _, slopes in _slope_classes(transversal_points(sigma), n):
+        hist.update(slopes)
+    return dict(hist)

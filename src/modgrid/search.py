@@ -432,9 +432,9 @@ class _Placement:
         table is kept at a time."""
         if self._blocks[0] != floor:
             n = self.n
-            block = self.mask(((r, w) for r in range(n - 1) for w in range(n)
-                               if not w or math.gcd(r + 1, n) == 1 and math.gcd(w, n) < floor),
-                              self.used)
+            below = [0] + [w for w in range(1, n) if math.gcd(w, n) < floor]
+            block = self.mask(((r, w) for r in range(n - 1)
+                               for w in (below if math.gcd(r + 1, n) == 1 else [0])), self.used)
             self._blocks = (None, [])  # free the old table before the new one is built
             self._blocks = (floor, [self.rotate(block, v) for v in range(n)])
         return self._blocks[1]
@@ -547,22 +547,26 @@ class _Placement:
             kept.append((pos - 1, n - c))
         return kept
 
-    def root(self, prefix: Sequence[int], anchor: int = 0, quad: bool = False
-             ) -> tuple[int, list[int], int, Optional[list]]:
+    def root(self, prefix: Sequence[int], anchor: int = 0, quad: bool = False,
+             base: Optional[tuple] = None) -> tuple[int, list[int], int, Optional[list]]:
         """(A, sigma, count, ties) after placing ``prefix`` in a branch with
         ``anchor`` (see _psi_branches): at prime n the diagonal cell (r, r)
         pinned, at composite n the floor d; 0 for neither.  ``quad`` blocks
         the cells that would complete a collinear quadruple.  ``ties`` is
         the state of the lex-leader prune (see lex), None where it does not
         apply.  A blocked cell in ``prefix``, or one that an adjacent image
-        beats, adds the used mark to ``count``."""
+        beats, adds the used mark to ``count``.  A ``base`` root of the first
+        cells of ``prefix`` is built on, not placed again."""
         n = self.n
         A, blocks, ratios, lex = self.tables(anchor)
         ties = [] if lex else None
         sigma: list[int] = []
-        offs: list[int] = []
         count = 0
-        for pos, v in enumerate(prefix):
+        if base is not None:
+            A, sigma, count, ties = base
+            sigma = list(sigma)
+        offs = [self.offset(i, y) for i, y in enumerate(sigma)]
+        for pos, v in enumerate(prefix[len(sigma):], len(sigma)):
             a = A >> v * _FIELD & 0xFFFF
             if ties is not None:
                 kept = self.lex(sigma, v, ties)
@@ -578,12 +582,20 @@ class _Placement:
             offs.append(self.offset(pos, v))
         return A, sigma, count, ties
 
-    def root_bound(self, prefix: Sequence[int], anchor: int = 0) -> int:
-        """The look-ahead bound at the root of a branch: the count of
-        ``prefix`` plus the least field of each later row, the test
-        _search_branch makes at its entry."""
-        A, _, count, _ = self.root(prefix, anchor)
-        return count + sum(map(min, self.counts(A, len(prefix))))
+    def root_bounds(self, branches: Sequence[tuple[int, tuple[int, ...]]]) -> dict:
+        """The look-ahead bound at the root of each (anchor, prefix) branch,
+        the test _search_branch makes at its entry, taken in lex order: one
+        floor's tables serve a run of branches, and a run that differs only
+        in its last cell shares the root of the others."""
+        bounds = {}
+        group = base = None
+        for anchor, prefix in sorted(branches):
+            if group != (anchor, prefix[:-1]):
+                group = (anchor, prefix[:-1])
+                base = self.root(prefix[:-1], anchor)
+            A, _, count, _ = self.root(prefix, anchor, base=base)
+            bounds[anchor, prefix] = count + sum(map(min, self.counts(A, len(prefix))))
+        return bounds
 
 
 def _search_branch(
@@ -877,7 +889,7 @@ def psi(
         walk = False
     if not engine.prime:
         # with no seed, the branch of the least root bound first
-        branches.sort(key=lambda b: engine.root_bound(b[1], b[0]))
+        branches.sort(key=engine.root_bounds(branches).__getitem__)
     version = 1 if walk else CHECKPOINT_VERSION
     if checkpoint:
         # an unwritable path fails here, before any branch is searched

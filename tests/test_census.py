@@ -1,8 +1,11 @@
 import random
+import time
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modgrid.census import (
     count_quadruples,
@@ -78,6 +81,71 @@ def test_census_inverts_only_the_differences_that_occur():
     assert sum(comb(k, 2) for _, k in census.lines) == comb(5, 2)
 
 
+def _collinear_by_slopes(pts, p):
+    """Collinear 3- and 4-subsets at prime p by ``pair_slope``: a subset is
+    collinear when its first point has one slope to all the others."""
+    def collinear(sub):
+        return len({pair_slope(sub[0], q, p) for q in sub[1:]}) == 1
+    return tuple(sum(map(collinear, combinations(pts, r))) for r in (3, 4))
+
+
+def test_census_inverse_table_is_sized_by_the_pairs():
+    # x spans the whole range mod p: a table of inverses sized by n, or by
+    # the span of x, would take minutes and gigabytes here
+    p = 1_000_000_007
+    h = p // 2
+    pts = [(p - 1, 5), (h, h), (0, 0), (p - 2, p - 2), (h, 3), (p - 1, p - 1)]
+    start = time.perf_counter()
+    counts = (count_triples(pts, p), count_quadruples(pts, p))
+    census = line_decomposition(pts, p)
+    assert time.perf_counter() - start < 2
+    assert counts == (census.triples, census.quadruples) == _collinear_by_slopes(pts, p) == (4, 1)
+    assert sum(comb(k, 2) for _, k in census.lines) == comb(len(pts), 2)
+
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def _prime_sets(draw):
+    """(p, points): distinct points mod a prime p <= 31 in a few columns, so
+    that vertical lines occur, given unreduced and in no order."""
+    p = draw(st.sampled_from(PRIMES_TO_31))
+    columns = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=5, unique=True))
+    cells = draw(st.lists(st.tuples(st.sampled_from(columns), st.integers(0, p - 1)),
+                          max_size=9, unique=True))
+    shifts = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    pts = [(x + a * p, y + b * p) for (x, y), (a, b) in
+           zip(cells, draw(st.lists(shifts, min_size=len(cells), max_size=len(cells))))]
+    return p, draw(st.permutations(pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_prime_sets())
+def test_prime_census_equals_the_oracles_off_transversals(case):
+    p, pts = case
+    naive = (count_triples_naive(pts, p), count_quadruples_naive(pts, p))
+    assert (count_triples(pts, p), count_quadruples(pts, p)) == naive
+    census = line_decomposition(pts, p)
+    assert (census.triples, census.quadruples) == naive
+    assert census.lines == _lines_by_pair_scan([(x % p, y % p) for x, y in pts], p)
+
+
+def _pair_slope_histogram(sigma, p):
+    """Pairs per ``pair_slope`` of a transversal."""
+    hist: dict = {}
+    for a, b in combinations(transversal_points(sigma), 2):
+        s = pair_slope(a, b, p)
+        hist[s] = hist.get(s, 0) + 1
+    return hist
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=st.sampled_from(PRIMES_TO_31).flatmap(lambda p: st.permutations(range(p))))
+def test_slope_histogram_equals_pair_slopes(sigma):
+    assert slope_histogram(sigma, len(sigma)) == _pair_slope_histogram(sigma, len(sigma))
+
+
 def test_pair_accounting_for_quadruple_free_sets():
     # 3 * triples + (pairs on no triple) = C(|S|, 2) when no line holds 4 points
     for p in (5, 7, 11, 13):
@@ -129,11 +197,7 @@ def test_slope_histogram_matches_pair_slopes(p):
     rng = random.Random(p)
     for _ in range(5):
         sigma = rng.sample(range(p), p)
-        want: dict = {}
-        for a, b in combinations(transversal_points(sigma), 2):
-            s = pair_slope(a, b, p)
-            want[s] = want.get(s, 0) + 1
-        assert slope_histogram(sigma, p) == want
+        assert slope_histogram(sigma, p) == _pair_slope_histogram(sigma, p)
 
 
 @pytest.mark.parametrize("count", [

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -147,7 +148,7 @@ def _bound_case(n, mode, prefix):
     A, _, cnt, _ = engine.root(prefix)
     rows = engine.counts(A, len(prefix))
     node = cnt + sum(map(min, rows))
-    assert node == engine.root_bound(prefix)
+    assert engine.root_bounds([(0, prefix)]) == {(0, prefix): node}
     rest = sum(map(min, rows[1:]))
     children = {v: cnt + rows[0][v] + rest for v in range(n) if v not in prefix}
     return cnt, node, children
@@ -297,6 +298,24 @@ def test_fresh_checkpoint_lists_root_bound_order_at_composite_n_only(tmp_path, n
     by_bound = sorted(lex, key=lambda b: _root_bound(n, b))
     assert by_bound != lex
     assert listed == (lex if is_prime(n) else by_bound)
+
+
+@pytest.mark.parametrize("n,mode,reduction", [
+    (9, ANY, "canonical"), (10, ANY, "canonical"), (12, UNIT, "canonical"),
+    (12, ANY, "canonical"), (15, UNIT, "canonical"), (12, UNIT, "translate"),
+    (10, UNIT, "none"), (11, UNIT, "canonical"),
+])
+def test_root_bounds_equal_roots_placed_from_scratch(n, mode, reduction):
+    engine = _Placement(n, mode)
+    branches = _psi_branches(engine, reduction)
+    # in no order, as a resumed checkpoint may list them
+    random.Random(n).shuffle(branches)
+    fresh = _Placement(n, mode)
+    want = {}
+    for anchor, prefix in branches:
+        A, _, count, _ = fresh.root(prefix, anchor)
+        want[anchor, prefix] = count + sum(map(min, fresh.counts(A, len(prefix))))
+    assert engine.root_bounds(branches) == want
 
 
 def test_resume_from_a_lex_ordered_checkpoint(tmp_path):

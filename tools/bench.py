@@ -1,72 +1,114 @@
-"""Time the searches: nodes and seconds for a fixed set of calls per topic.
+"""Time the searches and the counts: seconds and work for fixed calls per topic.
 
 The package is imported from ``src/`` of the checkout holding this script:
 
-    python3 tools/bench.py
+    python3 tools/bench.py [TOPIC ...]
 
-Each call of each topic in TOPICS runs REPEAT times in this one process,
-serially and unbudgeted, with its defaults.  Node counts do not depend on
-the machine, so they compare across machines; the seconds, and the nodes
-per second of the median run, are given with the core count and the
-interpreter.  Each call's result is printed, and
-each topic is written as JSON to BENCH_<topic>.json in the current
-directory.
+With no TOPIC every topic in TOPICS runs.  Each call of a topic runs REPEAT
+times in this one process, serially and unbudgeted, with its defaults.  A
+search row gives its nodes, which do not depend on the machine, so they
+compare across machines, and the nodes per second of the median run; a
+count row gives its pairs, C(m, 2) for m points, and the pairs per second.
+The seconds are given with the core count and the interpreter.  Each call's
+result is printed, and each topic is written as JSON to BENCH_<topic>.json
+in the current directory.
 """
 from __future__ import annotations
 
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from modgrid.census import count_quadruples, count_triples  # noqa: E402
+from modgrid.constructions import inverse_permutation  # noqa: E402
 from modgrid.geometry import CollinearityMode  # noqa: E402
 from modgrid.search import (  # noqa: E402
     ct0_subsets, lex_least_with_count, max_triple_free_subset, psi,
 )
 
 UNIT, ANY = CollinearityMode.UNIT_LINE, CollinearityMode.ANY_LINE
-REPEAT = 3
+REPEAT = 5
+#: seed of the random transversals of the census topic
+SEED = 1
 
-#: topic -> (search, n, mode) calls; the psi calls are those of the
-#: psi_serial benchmark workload
+
+def _searches(calls):
+    """(label, call, report) for each (search, n, mode): the report reads
+    the outcome and the median seconds."""
+    return [(f"{search.__name__}({n}, {mode.value})",
+             lambda search=search, n=n, mode=mode: search(n, mode=mode),
+             lambda out, s: {"value": out.value, "exact": out.exact,
+                             "nodes": out.nodes_explored, "pruned": out.nodes_pruned,
+                             "nodes_per_s": round(out.nodes_explored / s)})
+            for search, n, mode in calls]
+
+
+def _counts(sets):
+    """(label, call, report) of count_triples and count_quadruples for each
+    (name, sigma, mode) transversal."""
+    rows = []
+    for name, sigma, mode in sets:
+        n, pts = len(sigma), list(enumerate(sigma))
+        pairs = comb(n, 2)
+        for count in (count_triples, count_quadruples):
+            rows.append((f"{count.__name__}({name}, {n}, {mode.value})",
+                         lambda count=count, pts=pts, n=n, mode=mode: count(pts, n, mode),
+                         lambda out, s, pairs=pairs: {"value": out, "pairs": pairs,
+                                                      "pairs_per_s": round(pairs / s)}))
+    return rows
+
+
+def _random_transversal(n: int) -> list[int]:
+    return random.Random(SEED).sample(range(n), n)
+
+
+#: topic -> calls; the psi calls are those of the psi_serial benchmark
+#: workload, and the census calls are its largest prime and composite cases
 TOPICS = {
-    "psi": [
+    "psi": lambda: _searches([
         (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
         (lex_least_with_count, 11, UNIT), (lex_least_with_count, 13, UNIT),
-    ],
-    "grid": [
+    ]),
+    "grid": lambda: _searches([
         (max_triple_free_subset, 5, UNIT), (max_triple_free_subset, 5, ANY),
         (max_triple_free_subset, 6, UNIT), (max_triple_free_subset, 7, UNIT),
         (ct0_subsets, 4, UNIT), (ct0_subsets, 4, ANY),
         (ct0_subsets, 5, UNIT), (ct0_subsets, 5, ANY),
-    ],
+    ]),
+    "census": lambda: _counts([
+        ("inverse", inverse_permutation(503), UNIT),
+        ("random", _random_transversal(503), UNIT),
+        ("random", _random_transversal(60), UNIT),
+        ("random", _random_transversal(60), ANY),
+    ]),
 }
 
 
-def main() -> int:
-    for topic, calls in TOPICS.items():
+def main(topics: list[str]) -> int:
+    unknown = set(topics) - set(TOPICS)
+    if unknown:
+        print(f"unknown topics {sorted(unknown)}; the topics are {list(TOPICS)}", file=sys.stderr)
+        return 2
+    for topic in topics or TOPICS:
         rows = []
-        for search, n, mode in calls:
+        for label, call, report in TOPICS[topic]():
             seconds = []
             for _ in range(REPEAT):
                 start = time.perf_counter()
-                out = search(n, mode=mode)
+                out = call()
                 seconds.append(time.perf_counter() - start)
-            rows.append({
-                "call": f"{search.__name__}({n}, {mode.value})",
-                "value": out.value,
-                "exact": out.exact,
-                "nodes": out.nodes_explored,
-                "pruned": out.nodes_pruned,
-                "median_s": round(statistics.median(seconds), 4),
-                "nodes_per_s": round(out.nodes_explored / statistics.median(seconds)),
-                "seconds": [round(s, 4) for s in seconds],
-            })
+            median = statistics.median(seconds)
+            rows.append({"call": label, **report(out, median),
+                         "median_s": round(median, 4),
+                         "seconds": [round(s, 4) for s in seconds]})
             print(json.dumps(rows[-1]), flush=True)
         result = {
             "cores": os.cpu_count(),
@@ -80,4 +122,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
