@@ -191,7 +191,9 @@ class SearchBudget:
     branches and all workers: a search that runs out reports exactly
     ``max_nodes`` nodes explored (a pool can stop a little below).
     ``max_time`` is wall-clock seconds from the start of the call.
-    ``workers`` is used by psi only; every other search runs serially.
+    ``workers`` is used by psi only, which runs no more processes than it
+    has branches or the machine has cores; every other search runs
+    serially.
     """
 
     max_nodes: Optional[int] = None
@@ -199,9 +201,11 @@ class SearchBudget:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("max_nodes", "max_time"):
-            if (getattr(self, name) or 0) < 0:
-                raise OutOfRange(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, least in (("max_nodes", 0), ("max_time", 0), ("workers", 1)):
+            value = getattr(self, name)
+            # a NaN max_time compares false with everything, so it would never expire
+            if value is not None and not value >= least:
+                raise OutOfRange(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -278,7 +282,7 @@ class _NodeBudget:
 
 #: largest n every search accepts.  The cost-matrix fields are 16 bits, and
 #: every pair count C(n-1, 2) must stay below the used mark 2**15, which alone
-#: would allow n <= 257; 128 bounds the memory of the masks and block tables
+#: would allow n <= 257; 128 bounds the memory of the mask tables
 SEARCH_BOUND = 128
 
 #: largest n psi_brute_force accepts: it enumerates all n! transversals
@@ -373,7 +377,8 @@ class _Placement:
     masks is rotated by v within each row and added to A without its first
     row, column pos, so that its row r lands on column pos + 1 + r; every
     row past column n - 1 is cut off, among them row n - dx - 1, which
-    holds Q itself (mod n).
+    holds Q itself (mod n).  The cells P blocks are kept for P at (0, 0)
+    too, and ride in the used bits of the sum through the same rotation.
     """
 
     def __init__(self, n: int, mode: CollinearityMode):
@@ -394,10 +399,11 @@ class _Placement:
         self.keep = [self.mask(((r, w) for r in range(n - 1) for w in range(v, n)), ones)
                      for v in range(n)]
         self.wrap = [self.keep[0] ^ k for k in self.keep]
-        # the tables of one floor and of one anchor, built when first asked for
-        self._blocks: tuple = (None, [])
+        # the block mask of each floor, and the tables of one anchor, built
+        # when first asked for
+        self._blocks: dict[int, int] = {}
         self._pinned: tuple = (None, None)
-        self.no_rows: list = [None] * n
+        self.no_rows: list = [()] * n
         # inv[u]: the inverse of u, 0 for a non-unit
         self.inv = [pow(u, -1, n) if math.gcd(u, n) == 1 else 0 for u in range(n)]
         # the sets are closed under negation, so Q = -e lies in the same sets
@@ -425,25 +431,24 @@ class _Placement:
         fields.release()
         return int.from_bytes(buf, sys.byteorder)
 
-    def blocks(self, floor: int) -> list[int]:
-        """``blocks[v]``, rows as in ``pairs``: the cells that placing v marks
-        used, value v in every later column and, under a floor d, the cells
-        (j, w) at a unit column distance with gcd(w - v, n) < d.  One floor's
-        table is kept at a time."""
-        if self._blocks[0] != floor:
+    def blocks(self, floor: int) -> int:
+        """The cells, rows as in ``pairs``, that placing (pos, 0) marks used:
+        value 0 in every later column and, under a floor d, the cells (j, w)
+        at a unit column distance with gcd(w, n) < d; ``place`` rotates them
+        by v with the pair masks.  Built once per floor."""
+        if floor not in self._blocks:
             n = self.n
             below = [0] + [w for w in range(1, n) if math.gcd(w, n) < floor]
-            block = self.mask(((r, w) for r in range(n - 1)
-                               for w in (below if math.gcd(r + 1, n) == 1 else [0])), self.used)
-            self._blocks = (None, [])  # free the old table before the new one is built
-            self._blocks = (floor, [self.rotate(block, v) for v in range(n)])
-        return self._blocks[1]
+            cells = ((r, w) for r in range(n - 1)
+                     for w in (below if math.gcd(r + 1, n) == 1 else [0]))
+            self._blocks[floor] = self.mask(cells, self.used)
+        return self._blocks[floor]
 
     def pinned(self, anchor: int) -> tuple[int, list]:
         """(pin, rows) of the branch with ``anchor`` r at prime n: the
         matrix with the used mark on row r and on column r but not on the
         cell (r, r), 0 for r = 0, and the min-ratio rule's rows by depth
-        (see _ratio_rows), None at every depth for r <= 2 (2 is the least
+        (see _ratio_rows), empty at every depth for r <= 2 (2 is the least
         orbit-min, below which no ratio lies).  One anchor's are kept at a
         time."""
         if self._pinned[0] != anchor:
@@ -455,11 +460,11 @@ class _Placement:
             self._pinned = (anchor, (pin, _ratio_rows(n, anchor) if anchor > 2 else self.no_rows))
         return self._pinned[1]
 
-    def tables(self, anchor: int) -> tuple[int, list[int], list, bool]:
-        """(A, blocks, rows, lex) of the branch with ``anchor`` (see root):
+    def tables(self, anchor: int) -> tuple[int, int, list, bool]:
+        """(A, block, rows, lex) of the branch with ``anchor`` (see root):
         the matrix before the prefix is placed (``pinned(anchor)``'s pin at
         prime n, else 0), ``blocks(floor)``, the ratio rows by depth
-        (``pinned(anchor)``'s at prime n, else None at every depth), and
+        (``pinned(anchor)``'s at prime n, else empty at every depth), and
         whether the adjacent-pair lex-leader prune applies, on the floor-1
         branch at composite n."""
         if self.prime:
@@ -467,48 +472,38 @@ class _Placement:
             return pin, self.blocks(0), rows, False
         return 0, self.blocks(anchor), self.no_rows, anchor == 1
 
-    def rotate(self, M: int, v: int) -> int:
-        """``M``, rows as in ``pairs``, with every row rotated by v: the
-        field of (r, w) moves to (r, (w + v) % n)."""
-        if not v:
-            return M
-        return ((M << (v * _FIELD)) & self.keep[v]) | (
-            (M >> ((self.n - v) * _FIELD)) & self.wrap[v])
-
     def quad_block(self, sigma: Sequence[int], v: int) -> int:
-        """The cells, rows as in ``pairs``, that placing (len(sigma), v) marks
-        used in a quadruple-free search (see the module docstring)."""
+        """The cells that placing (len(sigma), v) marks used in a
+        quadruple-free search (see the module docstring), rows as in
+        ``pairs`` and, like ``blocks``, not yet rotated by v."""
         n = self.n
         pos = len(sigma)
         d = [self.held[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)]
         common = {h & g for h, g in itertools.combinations(d, 2)}
-        return self.rotate(reduce(or_, map(self.union, common), 0), v) << (_FIELD - 1)
+        return reduce(or_, map(self.union, common), 0) << (_FIELD - 1)
 
     def offset(self, i: int, y: int) -> int:
         """The offset of the placed point (i, y) in ``pairs`` (see above)."""
         return self.n - y - 2 * self.n * i
 
     def place(self, A: int, offs: Sequence[int], v: int, block: int,
-              ratio: Optional[list[int]]) -> int:
+              ratio: Sequence[int]) -> int:
         """The matrix after adding (len(offs), v) to the placement whose
-        points have the offsets ``offs``; ``block`` is ``blocks(floor)[v]``,
+        points have the offsets ``offs``; ``block`` is ``blocks(floor)``,
         with ``quad_block`` ORed in for a quadruple-free search, and
-        ``ratio`` the branch's ratio rows at this depth."""
+        ``ratio`` the branch's ratio rows at this depth.  The blocked cells,
+        ``block`` and the masks' cells in ``ratio``, ride in the used bits
+        of the masks' sum, above its counts, through its one rotation, and
+        are split from the counts after it."""
         n = self.n
         pos = len(offs)
         k = 2 * n * pos + v
         pairs = self.pairs
         masks = [pairs[k + o] for o in offs]
-        if ratio is not None:
-            # the cells the min-ratio rule blocks ride in the used bits of
-            # the sum, above its counts, through one rotation
-            add = self.rotate(sum(masks) | reduce(or_, map(and_, masks, ratio), 0)
-                              << (_FIELD - 1), v)
-            block |= add & self.marks
-            add &= self.low
-        else:
-            add = self.rotate(sum(masks), v)
-        return ((A >> n * _FIELD) + add | block) & self.trunc[pos]
+        M = sum(masks) | block | reduce(or_, map(and_, masks, ratio), 0) << (_FIELD - 1)
+        # every row rotated by v: the field of (r, w) moves to (r, (w + v) % n)
+        add = (M << v * _FIELD) & self.keep[v] | (M >> (n - v) * _FIELD) & self.wrap[v]
+        return ((A >> n * _FIELD) + (add & self.low) | add & self.marks) & self.trunc[pos]
 
     def counts(self, A: int, pos: int = 0) -> list[list[int]]:
         """The rows of ``A``, a matrix with ``pos`` columns placed (columns
@@ -547,26 +542,21 @@ class _Placement:
             kept.append((pos - 1, n - c))
         return kept
 
-    def root(self, prefix: Sequence[int], anchor: int = 0, quad: bool = False,
-             base: Optional[tuple] = None) -> tuple[int, list[int], int, Optional[list]]:
+    def root(self, prefix: Sequence[int], anchor: int = 0,
+             quad: bool = False) -> tuple[int, list[int], int, Optional[list]]:
         """(A, sigma, count, ties) after placing ``prefix`` in a branch with
         ``anchor`` (see _psi_branches): at prime n the diagonal cell (r, r)
         pinned, at composite n the floor d; 0 for neither.  ``quad`` blocks
         the cells that would complete a collinear quadruple.  ``ties`` is
         the state of the lex-leader prune (see lex), None where it does not
         apply.  A blocked cell in ``prefix``, or one that an adjacent image
-        beats, adds the used mark to ``count``.  A ``base`` root of the first
-        cells of ``prefix`` is built on, not placed again."""
-        n = self.n
-        A, blocks, ratios, lex = self.tables(anchor)
+        beats, adds the used mark to ``count``."""
+        A, block, ratios, lex = self.tables(anchor)
         ties = [] if lex else None
         sigma: list[int] = []
+        offs: list[int] = []
         count = 0
-        if base is not None:
-            A, sigma, count, ties = base
-            sigma = list(sigma)
-        offs = [self.offset(i, y) for i, y in enumerate(sigma)]
-        for pos, v in enumerate(prefix[len(sigma):], len(sigma)):
+        for pos, v in enumerate(prefix):
             a = A >> v * _FIELD & 0xFFFF
             if ties is not None:
                 kept = self.lex(sigma, v, ties)
@@ -575,8 +565,7 @@ class _Placement:
                 else:
                     ties = kept
             count += a
-            A = self.place(A, offs, v,
-                           blocks[v] | self.quad_block(sigma, v) if quad and a else blocks[v],
+            A = self.place(A, offs, v, block | self.quad_block(sigma, v) if quad and a else block,
                            ratios[pos])
             sigma.append(v)
             offs.append(self.offset(pos, v))
@@ -584,16 +573,10 @@ class _Placement:
 
     def root_bounds(self, branches: Sequence[tuple[int, tuple[int, ...]]]) -> dict:
         """The look-ahead bound at the root of each (anchor, prefix) branch,
-        the test _search_branch makes at its entry, taken in lex order: one
-        floor's tables serve a run of branches, and a run that differs only
-        in its last cell shares the root of the others."""
+        the test _search_branch makes at its entry."""
         bounds = {}
-        group = base = None
-        for anchor, prefix in sorted(branches):
-            if group != (anchor, prefix[:-1]):
-                group = (anchor, prefix[:-1])
-                base = self.root(prefix[:-1], anchor)
-            A, _, count, _ = self.root(prefix, anchor, base=base)
+        for anchor, prefix in branches:
+            A, _, count, _ = self.root(prefix, anchor)
             bounds[anchor, prefix] = count + sum(map(min, self.counts(A, len(prefix))))
         return bounds
 
@@ -630,7 +613,7 @@ def _search_branch(
     n = engine.n
     place, counts, lex, used_at = engine.place, engine.counts, engine.lex, engine.used
     quad = objective == "max"
-    _, blocks, ratios, _ = engine.tables(anchor)
+    _, block, ratios, _ = engine.tables(anchor)
     A0, sigma, count, ties0 = engine.root(prefix, anchor, quad)
     offs = [engine.offset(i, y) for i, y in enumerate(sigma)]
     start_pos = len(prefix)
@@ -685,8 +668,7 @@ def _search_branch(
                 done = finish(base + a)
             else:
                 child = place(A, offs, v,
-                              blocks[v] | engine.quad_block(sigma, v) if quad and a else blocks[v],
-                              ratio)
+                              block | engine.quad_block(sigma, v) if quad and a else block, ratio)
                 sigma.append(v)
                 offs.append(off - v)
                 done = rec(pos + 1, cnt + a, child, kept)
@@ -922,10 +904,11 @@ def psi(
         if checkpoint:
             _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining, version)
 
-    if budget.workers > 1 and len(branches) > 1:
+    workers = min(budget.workers, len(branches), os.cpu_count() or 1)
+    if workers > 1:
         nodes_left.share()
         with ProcessPoolExecutor(
-            max_workers=budget.workers, initializer=_init_pool, initargs=(engine, nodes_left)
+            max_workers=workers, initializer=_init_pool, initargs=(engine, nodes_left)
         ) as pool:
             # at most one branch per worker in flight, so each new branch
             # starts from the best value known when it is submitted
@@ -937,7 +920,7 @@ def psi(
                 if branch is not None and not aborted:
                     running[pool.submit(_pool_branch, branch, bound(branch))] = branch
 
-            for _ in range(budget.workers):
+            for _ in range(workers):
                 submit()
             while running:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)

@@ -101,6 +101,14 @@ def test_psi_rejects_a_negative_budget(capsys):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-2"),
+                                        ("--budget-seconds", "nan")])
+def test_psi_rejects_a_budget_out_of_range(capsys, flag, value):
+    code, out, err = run_cli(capsys, "psi", "--n", "5", flag, value)
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err
+
+
 def test_psi_rejects_a_bad_checkpoint(capsys, tmp_path):
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text("{")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import itertools
 import json
@@ -392,7 +393,7 @@ BUDGETED_SEARCHES = {
 
 @pytest.mark.parametrize("name", sorted(BUDGETED_SEARCHES))
 def test_negative_budgets_are_rejected(name):
-    for budget in ({"max_nodes": -1}, {"max_time": -1.0}):
+    for budget in ({"max_nodes": -1}, {"max_time": -1.0}, {"max_time": float("nan")}):
         with pytest.raises(OutOfRange):
             BUDGETED_SEARCHES[name](SearchBudget(**budget))
         with pytest.raises(OutOfRange):
@@ -616,6 +617,104 @@ def test_images_anchored_at_a_larger_ratio_are_blocked(sigma):
             assert count == want, (sigma, r, i, j)
         else:
             assert count >= engine.used, (sigma, r, i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma=st.sampled_from([4, 6, 8, 9, 10]).flatmap(lambda n: st.permutations(range(n))),
+       mode=st.sampled_from([UNIT, ANY]))
+def test_images_at_a_floor_above_the_least_gcd_are_blocked(sigma, mode):
+    # the composite floor: an image of a unit-distance pair (i, j) with
+    # gcd(sigma(j) - sigma(i), n) = d passes branch d only when d is
+    # sigma's floor; above it, a pair at a smaller gcd blocks a cell
+    n = len(sigma)
+    pairs = [(math.gcd(sigma[j] - sigma[i], n), i, j) for i in range(n) for j in range(n)
+             if i != j and math.gcd(j - i, n) == 1]
+    floor = min(d for d, _, _ in pairs)
+    engine = _Placement(n, mode)
+    want = count_triples(transversal_points(sigma), n, mode)
+    for d, i, j in pairs:
+        if d == 1:
+            continue
+        s = pow(j - i, -1, n)
+        c = next(c for c in range(1, n)
+                 if math.gcd(c, n) == 1 and c * (sigma[j] - sigma[i]) % n == d)
+        tau = [0] * n
+        for x in range(n):
+            tau[(x - i) * s % n] = (sigma[x] - sigma[i]) * c % n
+        _, _, count, _ = engine.root(tau, d)
+        if d == floor:
+            assert count == want, (sigma, d, i, j)
+        else:
+            assert count >= engine.used, (sigma, d, i, j)
+
+
+@pytest.mark.parametrize("mode", [UNIT, ANY])
+def test_each_floor_mask_is_built_once_per_psi_call(monkeypatch, mode):
+    # the floors of n = 12 are its divisors d < 12; the root-bound order
+    # interleaves them, and a mask rebuilt per branch would show here
+    built, inside = [], []
+    blocks, mask = _Placement.blocks, _Placement.mask
+
+    def spy_blocks(self, floor):
+        inside.append(floor)
+        try:
+            return blocks(self, floor)
+        finally:
+            inside.pop()
+
+    def spy_mask(self, *args, **kwargs):
+        if inside:
+            built.append(inside[-1])
+        return mask(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Placement, "blocks", spy_blocks)
+    monkeypatch.setattr(_Placement, "mask", spy_mask)
+    assert psi(12, mode).exact
+    assert sorted(built) == [1, 2, 3, 4, 6]
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each submitted call at
+    once in this process and records the pool sizes asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers,cores,size", [
+    (10**6, 64, None), (10**6, 2, 2), (3, 64, 3), (10**6, 1, 0), (10**6, None, 0),
+])
+def test_psi_pool_is_no_larger_than_its_branches_or_cores(monkeypatch, workers, cores, size):
+    # size None: one worker per branch; 0: the serial loop, no pool
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(search, "_pool_engine", None)
+    monkeypatch.setattr(search, "_pool_budget", None)
+    branches = len(_psi_branches(_Placement(10, UNIT), "canonical"))
+    out = psi(10, budget=SearchBudget(workers=workers))
+    assert _InlinePool.sizes == ([] if size == 0 else [size or branches])
+    assert (out.value, out.exact, out.witness) == (2, True, LEX_LEAST_WITNESSES[10, UNIT])
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_are_rejected(workers):
+    with pytest.raises(OutOfRange):
+        SearchBudget(workers=workers)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,6 +9,9 @@ times in this one process, serially and unbudgeted, with its defaults.  A
 search row gives its nodes, which do not depend on the machine, so they
 compare across machines, and the nodes per second of the median run; a
 count row gives its pairs, C(m, 2) for m points, and the pairs per second.
+The "large" topic instead runs each budgeted call of the README's memory
+table REPEAT times, each in a fresh interpreter, and gives the seconds of
+the whole child process and its peak RSS.
 The seconds are given with the core count and the interpreter.  Each call's
 result is printed, and each topic is written as JSON to BENCH_<topic>.json
 in the current directory.
@@ -20,12 +23,14 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from math import comb
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 from modgrid.census import count_quadruples, count_triples  # noqa: E402
 from modgrid.constructions import inverse_permutation  # noqa: E402
@@ -66,12 +71,39 @@ def _counts(sets):
     return rows
 
 
+#: the child of a "large" call: argv[1] is the source directory, argv[2]
+#: the call; it prints the outcome and its own peak RSS as JSON
+_CHILD = """\
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from modgrid.geometry import CollinearityMode
+from modgrid.search import SearchBudget, ct0_subsets, max_triple_free_subset, psi
+ANY = CollinearityMode.ANY_LINE
+out = eval(sys.argv[2])
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"value": out.value, "exact": out.exact, "nodes": out.nodes_explored,
+                  "peak_rss_mb": round(rss / 1024, 1)}))
+"""
+
+
+def _fresh(calls):
+    """(label, call, report) for each call, a Python expression run in a
+    fresh interpreter (see _CHILD)."""
+    return [(call,
+             lambda call=call: json.loads(subprocess.run(
+                 [sys.executable, "-c", _CHILD, SRC, call],
+                 check=True, capture_output=True, text=True).stdout),
+             lambda out, s: out)
+            for call in calls]
+
+
 def _random_transversal(n: int) -> list[int]:
     return random.Random(SEED).sample(range(n), n)
 
 
 #: topic -> calls; the psi calls are those of the psi_serial benchmark
-#: workload, and the census calls are its largest prime and composite cases
+#: workload, and the census calls are its largest prime and composite cases.
+#: The large calls are those of the README's memory table
 TOPICS = {
     "psi": lambda: _searches([
         (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
@@ -88,6 +120,14 @@ TOPICS = {
         ("random", _random_transversal(503), UNIT),
         ("random", _random_transversal(60), UNIT),
         ("random", _random_transversal(60), ANY),
+    ]),
+    "large": lambda: _fresh([
+        "psi(64, budget=SearchBudget(max_nodes=2000))",
+        "psi(127, budget=SearchBudget(max_nodes=2000))",
+        "psi(120, budget=SearchBudget(max_nodes=2000))",
+        "psi(126, ANY, budget=SearchBudget(max_nodes=2000))",
+        "ct0_subsets(120, budget=SearchBudget(max_nodes=10000))",
+        "max_triple_free_subset(120, budget=SearchBudget(max_nodes=10000))",
     ]),
 }
 
