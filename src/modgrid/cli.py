@@ -1,8 +1,10 @@
 """Command-line frontend.
 
-One structured report (JSON by default) per invocation on stdout, a short
-human summary on stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage/input error, 3 search budget exhausted.
+Each command returns its parameters, result, exactness and a short human
+summary.  ``main`` alone frames them: one structured report (JSON by
+default) on stdout, the summary on stderr, and the exit code: 0 success,
+1 verification failure, 2 usage or input error (argparse, a ModGridError
+or an OSError), 3 search budget exhausted.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .constructions import (
     inverse_permutation,
     mobius_permutation,
 )
-from .errors import BoundExceeded, ModGridError
+from .errors import DegenerateInput, ModGridError, OutOfRange
 from .geometry import DEFAULT_MODE, CollinearityMode
 from .modring import is_prime
 from .packing import (
@@ -39,43 +41,13 @@ from .packing import (
     t_exact,
     trip_cost,
 )
-from .search import SEARCH_BOUND, SearchBudget, SearchOutcome, psi
+from .search import SearchBudget, _check_bound, psi
 from .verification import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-class UsageError(Exception):
-    pass
-
-
-def _emit(report: dict, fmt: str, summary: str) -> None:
-    if fmt == "csv":
-        rows = report.get("csv")
-        if rows is None:
-            rows = ["key,value"] + [
-                f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}"
-                for k, v in report.get("result", {}).items()
-            ]
-        print("\n".join(rows))
-    else:
-        print(json.dumps(report, indent=2, default=str))
-    print(summary, file=sys.stderr)
-
-
-def _report(command: str, params: dict, result: dict, started: float,
-            exact: bool = True) -> dict:
-    return {
-        "command": command,
-        "parameters": params,
-        "result": result,
-        "exact": exact,
-        "elapsed_seconds": round(time.perf_counter() - started, 6),
-        "version": __version__,
-    }
 
 
 def _parse_transversal(text: str) -> list[int]:
@@ -85,7 +57,7 @@ def _parse_transversal(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise UsageError(f"bad transversal literal: {exc}") from None
+        raise DegenerateInput(f"bad transversal literal: {exc}") from None
 
 
 def _parse_points_file(path: str, n: int) -> list[tuple[int, int]]:
@@ -96,54 +68,40 @@ def _parse_points_file(path: str, n: int) -> list[tuple[int, int]]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise UsageError(f"{path}:{lineno}: expected two integers, got {raw!r}")
             try:
-                p = (int(parts[0]) % n, int(parts[1]) % n)
+                x, y = map(int, line.split())
             except ValueError:
-                raise UsageError(f"{path}:{lineno}: expected two integers, got {raw!r}")
+                raise DegenerateInput(
+                    f"{path}:{lineno}: expected two integers, got {raw!r}") from None
+            p = (x % n, y % n)
             if p in seen:
-                raise UsageError(f"{path}:{lineno}: duplicate point {p}")
+                raise DegenerateInput(f"{path}:{lineno}: duplicate point {p}")
             seen.add(p)
             points.append(p)
     return points
 
 
-def _budget_from_args(args) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=args.budget_nodes,
-        max_time=args.budget_seconds,
-        workers=args.workers,
-    )
-
-
-def _outcome_dict(outcome: SearchOutcome) -> dict:
-    d = asdict(outcome)
-    d["elapsed"] = round(d["elapsed"], 6)
-    return d
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (parameters, result, exact, summary), and table
+# its CSV rows after them
 # ---------------------------------------------------------------------------
 
 
-def cmd_count(args) -> int:
-    started = time.perf_counter()
+def cmd_count(args):
     mode = CollinearityMode(args.mode)
     n = args.n
+    # before a points file is reduced mod n
     if n < 1:
-        raise UsageError(f"--n must be >= 1, got {n}")
+        raise OutOfRange(f"--n must be >= 1, got {n}")
     if args.transversal is not None:
         sigma = _parse_transversal(args.transversal)
-        if len(sigma) != n or sorted(sigma) != list(range(n)):
-            raise UsageError(f"not a permutation of range({n}): {sigma}")
+        if len(sigma) != n:
+            raise DegenerateInput(f"not a permutation of range({n}): {sigma}")
         points = transversal_points(sigma)
     elif args.points is not None:
         points = _parse_points_file(args.points, n)
     else:
-        raise UsageError("cmd count needs --transversal or --points")
+        raise OutOfRange("cmd count needs --transversal or --points")
     result = {
         "n": n,
         "mode": mode.value,
@@ -161,78 +119,53 @@ def cmd_count(args) -> int:
             hist = slope_histogram(sigma, n)
             result["slope_histogram"] = {str(k): v for k, v in sorted(
                 hist.items(), key=lambda kv: str(kv[0]))}
-    report = _report("count", {"n": n, "mode": mode.value}, result, started)
-    _emit(report, args.format,
-          f"n={n} triples={result['triples']} quadruples={result['quadruples']}")
-    return EXIT_OK
+    return ({"n": n, "mode": mode.value}, result, True,
+            f"n={n} triples={result['triples']} quadruples={result['quadruples']}")
 
 
-def cmd_psi(args) -> int:
-    started = time.perf_counter()
+def cmd_psi(args):
     mode = CollinearityMode(args.mode)
-    outcome = psi(args.n, mode=mode, budget=_budget_from_args(args),
-                  checkpoint=args.checkpoint)
-    result = _outcome_dict(outcome)
-    report = _report("psi", {"n": args.n, "mode": mode.value,
-                             "workers": args.workers}, result, started,
-                     exact=outcome.exact)
+    outcome = psi(args.n, mode=mode, checkpoint=args.checkpoint,
+                  budget=SearchBudget(args.budget_nodes, args.budget_seconds, args.workers))
     kind = "" if outcome.exact else " (upper bound, budget exhausted)"
-    _emit(report, args.format, f"psi({args.n}) = {outcome.value}{kind}")
-    return EXIT_OK if outcome.exact else EXIT_BUDGET
+    return ({"n": args.n, "mode": mode.value, "workers": args.workers},
+            {**asdict(outcome), "elapsed": round(outcome.elapsed, 6)}, outcome.exact,
+            f"psi({args.n}) = {outcome.value}{kind}")
 
 
-def cmd_table(args) -> int:
-    started = time.perf_counter()
-    if args.max_n < 1:
-        raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
+def cmd_table(args):
     # a table past the bound would fail at its last row, after all the others
-    if args.max_n > SEARCH_BOUND:
-        raise BoundExceeded(f"--max-n {args.max_n} exceeds the search bound {SEARCH_BOUND}")
+    _check_bound(args.max_n)
     mode = CollinearityMode(args.mode)
-    budget = _budget_from_args(args)
+    budget = SearchBudget(args.budget_nodes, args.budget_seconds, args.workers)
     # an unwritable path fails here, before the table is computed
     out = open(args.out, "w", encoding="utf-8") if args.out else None
     rows = []
-    any_inexact = False
     for n in range(1, args.max_n + 1):
         outcome = psi(n, mode=mode, budget=budget)
-        any_inexact = any_inexact or not outcome.exact
         rows.append({"n": n, "psi": outcome.value, "exact": outcome.exact})
     csv_rows = ["n,psi,exact"] + [
         f"{r['n']},{r['psi']},{str(r['exact']).lower()}" for r in rows
     ]
-    result = {"mode": mode.value, "rows": rows}
-    report = _report("table", {"max_n": args.max_n, "mode": mode.value},
-                     result, started, exact=not any_inexact)
-    report["csv"] = csv_rows
     if out:
         with out:
             out.write("\n".join(csv_rows) + "\n")
-    _emit(report, args.format,
-          "psi table: " + " ".join(f"{r['n']}:{r['psi']}" for r in rows))
-    return EXIT_OK if not any_inexact else EXIT_BUDGET
+    return ({"max_n": args.max_n, "mode": mode.value}, {"mode": mode.value, "rows": rows},
+            all(r["exact"] for r in rows),
+            "psi table: " + " ".join(f"{r['n']}:{r['psi']}" for r in rows), csv_rows)
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
-    n = args.n
-    family = args.family
-    if family == "inverse":
-        sigma = inverse_permutation(n)
-        predicted = {"triples": (n - 1) // 2, "quadruples": 0}
-    elif family == "cubic":
-        sigma = cubic_permutation(n)
-        predicted = {"triples": (n - 1) * (n - 2) // 6, "quadruples": 0}
-    elif family == "g":
-        sigma = g_permutation(n)
-        predicted = {"triples": (n - 1) // 2, "quadruples": 0}
-    elif family == "mobius":
-        if args.params is None or len(args.params) != 4:
-            raise UsageError("mobius needs --params A B C D")
+def cmd_construct(args):
+    n, family = args.n, args.family
+    if family == "mobius":
+        if args.params is None:
+            raise OutOfRange("mobius needs --params A B C D")
         sigma = mobius_permutation(n, MobiusParams(*args.params))
-        predicted = {"triples": (n - 1) // 2, "quadruples": 0}
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {family}")
+    else:
+        sigma = {"inverse": inverse_permutation, "cubic": cubic_permutation,
+                 "g": g_permutation}[family](n)
+    predicted = {"triples": (n - 1) * (n - 2) // 6 if family == "cubic" else (n - 1) // 2,
+                 "quadruples": 0}
     points = transversal_points(sigma)
     counted = {
         "triples": count_triples(points, n),
@@ -246,15 +179,12 @@ def cmd_construct(args) -> int:
         "counted": counted,
         "match": predicted == counted,
     }
-    report = _report("construct", {"family": family, "n": n}, result, started)
-    _emit(report, args.format,
-          f"{family}({n}): triples={counted['triples']} "
-          f"predicted={predicted['triples']} match={result['match']}")
-    return EXIT_OK
+    return ({"family": family, "n": n}, result, True,
+            f"{family}({n}): triples={counted['triples']} "
+            f"predicted={predicted['triples']} match={result['match']}")
 
 
-def cmd_pack(args) -> int:
-    started = time.perf_counter()
+def cmd_pack(args):
     K, L = args.K, args.L
     sub = args.subcommand
     if sub == "exact":
@@ -285,37 +215,26 @@ def cmd_pack(args) -> int:
         bound = jensen_lower_bound(K, L)
         result = {"bound": bound, "exact_value": t_exact(K, L).value}
         summary = f"jensen({K},{L}) = {bound:.6f}"
-    elif sub == "canonical":
+    else:
         parts = canonical_optimal_partition(K, L)
         result = {"partition": list(parts), "cost": trip_cost(parts),
                   "closed_form": t_closed_form(K, L)}
         summary = f"canonical({K},{L}) = {parts}"
-    else:  # pragma: no cover
-        raise UsageError(f"unknown pack subcommand {sub}")
-    report = _report(f"pack {sub}", {"K": K, "L": L}, result, started)
-    _emit(report, args.format, summary)
-    return EXIT_OK
+    return {"K": K, "L": L}, result, True, summary
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args):
     checks, all_passed = run_verification(args.level)
+    lines = [f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: "
+             f"expected {c.expected}, observed {c.observed}" for c in checks]
+    lines.append(f"verify {args.level}: {sum(c.passed for c in checks)}/{len(checks)} "
+                 f"checks passed")
     result = {
         "level": args.level,
         "passed": all_passed,
         "checks": [asdict(c) for c in checks],
     }
-    report = _report("verify", {"level": args.level}, result, started,
-                     exact=True)
-    failed = [c for c in checks if not c.passed]
-    summary = (f"verify {args.level}: {len(checks) - len(failed)}/{len(checks)} "
-               f"checks passed")
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.name}: expected {c.expected}, observed {c.observed}",
-              file=sys.stderr)
-    _emit(report, args.format, summary)
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return {"level": args.level}, result, True, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +242,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, mode=True, fmt=True) -> None:
+def _add_common(sub, mode=True) -> None:
     if mode:
         sub.add_argument("--mode", choices=["any", "unit"],
                          default=DEFAULT_MODE.value,
                          help="composite-modulus line semantics")
-    if fmt:
-        sub.add_argument("--format", choices=["json", "csv"], default="json")
+    sub.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _add_budget(sub) -> None:
@@ -371,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--params", type=int, nargs=4, metavar=("A", "B", "C", "D"))
-    _add_common(p)
+    _add_common(p, mode=False)
     p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("pack", help="pair-packing optimum and bounds")
@@ -396,11 +314,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except (UsageError, ModGridError, OSError) as exc:
+        params, result, exact, summary, *csv = args.func(args)
+        report = {
+            "command": f"pack {args.subcommand}" if args.cmd == "pack" else args.cmd,
+            "parameters": params,
+            "result": result,
+            "exact": exact,
+            "elapsed_seconds": round(time.perf_counter() - started, 6),
+            "version": __version__,
+        }
+        if csv:
+            report["csv"] = csv[0]
+        if args.format == "csv":
+            print("\n".join(report.get("csv") or ["key,value"] + [
+                f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}"
+                for k, v in result.items()]))
+        else:
+            print(json.dumps(report, indent=2, default=str))
+        print(summary, file=sys.stderr)
+    except (ModGridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not exact:
+        return EXIT_BUDGET
+    return EXIT_VERIFY_FAILED if args.cmd == "verify" and not result["passed"] else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonPrimeModulus, NotInvertible, OutOfRange
+from .errors import BoundExceeded, NonPrimeModulus, NotInvertible, OutOfRange
 
 __all__ = ["mod_inverse", "is_prime", "require_prime"]
 
@@ -31,19 +31,42 @@ def mod_inverse(a: int, n: int) -> int:
         ) from None
 
 
+#: the first 13 primes: trial divisors and strong probable-prime bases
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: the least composite that is a strong probable prime to every base in
+#: _SPRP_BASES (Sorenson & Webster, Math. Comp. 86, 2017)
+_SPRP_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; exact for all n >= 1."""
+    """Deterministic primality in O(log n) multiplications: trial division
+    by _SPRP_BASES, then a strong probable-prime test to each of them,
+    which is exact for n < _SPRP_BOUND.  Raises BoundExceeded at or above it.
+    """
+    if n >= _SPRP_BOUND:
+        raise BoundExceeded(f"primality of {n} is exact only below {_SPRP_BOUND}")
     if n < 2:
         return False
-    if n < 4:
+    for p in _SPRP_BASES:
+        if n % p == 0:
+            return n == p
+    # a composite with no prime factor up to 41 is at least 43**2
+    if n < 43 * 43:
         return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    # n - 1 = d * 2**s with d odd
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from modgrid.cli import (
     main,
 )
 from modgrid.errors import OutOfRange
-from modgrid.verification import run_verification
+from modgrid.verification import CheckResult, run_verification
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +67,15 @@ def test_count_rejects_n_below_one(capsys, tmp_path):
         code, out, err = run_cli(capsys, "count", "--n", "0", *source)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_count_at_a_large_prime_n(capsys, tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("0 0\n1 1\n2 2\n")
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, "count", "--n", str(2**61 - 1), "--points", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK and report["result"]["triples"] == 1
 
 
 def test_psi_command(capsys):
@@ -247,6 +257,17 @@ def test_verify_quick(capsys):
     assert "[PASS]" in err and "[FAIL]" not in err
 
 
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    checks = [CheckResult("one", "1", "1", True), CheckResult("two", "2", "3", False)]
+    monkeypatch.setattr(cli, "run_verification", lambda level: (checks, False))
+    code, report, err = run_json(capsys, "verify")
+    assert code == EXIT_VERIFY_FAILED
+    assert report["exact"] is True and report["result"]["passed"] is False
+    assert err.splitlines() == ["[PASS] one: expected 1, observed 1",
+                                "[FAIL] two: expected 2, observed 3",
+                                "verify quick: 1/2 checks passed"]
+
+
 def test_run_verification_rejects_unknown_level():
     with pytest.raises(OutOfRange):
         run_verification("slow")
@@ -256,3 +277,37 @@ def test_unknown_arguments(capsys):
     assert run_cli(capsys, "nonsense")[0] == EXIT_USAGE
     assert run_cli(capsys, "psi")[0] == EXIT_USAGE
     assert run_cli(capsys, "psi", "--n", "7", "--mode", "bogus")[0] == EXIT_USAGE
+    # every family is prime-only, and at prime n the two modes coincide
+    assert run_cli(capsys, "construct", "--family", "inverse", "--n", "11",
+                   "--mode", "unit")[0] == EXIT_USAGE
+
+
+REPORT_KEYS = ["command", "parameters", "result", "exact", "elapsed_seconds", "version"]
+
+
+@pytest.mark.parametrize("argv,command,params", [
+    (["count", "--n", "7", "--transversal", "[0,1,4,5,2,3,6]"], "count", ["n", "mode"]),
+    (["psi", "--n", "7"], "psi", ["n", "mode", "workers"]),
+    (["table", "--max-n", "5"], "table", ["max_n", "mode"]),
+    (["construct", "--family", "inverse", "--n", "11"], "construct", ["family", "n"]),
+    (["pack", "exact", "26", "2"], "pack exact", ["K", "L"]),
+    (["pack", "closed", "9", "3"], "pack closed", ["K", "L"]),
+    (["pack", "greedy", "26", "2"], "pack greedy", ["K", "L"]),
+    (["pack", "jensen", "30", "3"], "pack jensen", ["K", "L"]),
+    (["pack", "canonical", "7", "3"], "pack canonical", ["K", "L"]),
+    (["verify", "--level", "quick"], "verify", ["level"]),
+])
+def test_report_shape_of_every_subcommand(capsys, argv, command, params):
+    code, report, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert list(report) == REPORT_KEYS + (["csv"] if command == "table" else [])
+    assert report["command"] == command and report["exact"] is True
+    assert list(report["parameters"]) == params
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    rows = out.splitlines()
+    if command == "table":
+        assert rows == report["csv"]
+    else:
+        assert rows[0] == "key,value"
+        assert [row.split(",", 1)[0] for row in rows[1:]] == list(report["result"])

@@ -1,9 +1,10 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from modgrid.errors import NonPrimeModulus, NotInvertible, OutOfRange
+from modgrid.errors import BoundExceeded, NonPrimeModulus, NotInvertible, OutOfRange
 from modgrid.modring import is_prime, mod_inverse, require_prime
 
 
@@ -46,6 +47,27 @@ def test_is_prime_against_trial_division():
 
     for n in range(1, 10**4 + 1):
         assert is_prime(n) == trial(n), n
+
+
+def test_is_prime_against_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_at_large_n():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    # strong pseudoprimes to every base but 41, and to every base but 37 and 41
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3825123056546413051)
+    # the least strong pseudoprime to all 13 bases: the test is exact only below it
+    with pytest.raises(BoundExceeded):
+        is_prime(3317044064679887385961981)
 
 
 def test_require_prime():

@@ -11,7 +11,8 @@ compare across machines, and the nodes per second of the median run; a
 count row gives its pairs, C(m, 2) for m points, and the pairs per second.
 The "large" topic instead runs each budgeted call of the README's memory
 table REPEAT times, each in a fresh interpreter, and gives the seconds of
-the whole child process and its peak RSS.
+the whole child process and its peak RSS.  The "cli" topic runs each
+``modgrid`` command line the same way and gives its exit code.
 The seconds are given with the core count and the interpreter.  Each call's
 result is printed, and each topic is written as JSON to BENCH_<topic>.json
 in the current directory.
@@ -97,13 +98,26 @@ def _fresh(calls):
             for call in calls]
 
 
+def _cli(argvs):
+    """(label, call, report) for each ``modgrid`` command line, run as
+    ``python -m modgrid.cli`` in a fresh interpreter; the report is its
+    exit code."""
+    return [(f"modgrid {argv}",
+             lambda argv=argv: subprocess.run(
+                 [sys.executable, "-m", "modgrid.cli", *argv.split()],
+                 env={**os.environ, "PYTHONPATH": SRC}, capture_output=True).returncode,
+             lambda code, s: {"exit_code": code})
+            for argv in argvs]
+
+
 def _random_transversal(n: int) -> list[int]:
     return random.Random(SEED).sample(range(n), n)
 
 
 #: topic -> calls; the psi calls are those of the psi_serial benchmark
 #: workload, and the census calls are its largest prime and composite cases.
-#: The large calls are those of the README's memory table
+#: The large calls are those of the README's memory table, and the cli
+#: calls are the CLI's end-to-end layer
 TOPICS = {
     "psi": lambda: _searches([
         (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
@@ -129,6 +143,7 @@ TOPICS = {
         "ct0_subsets(120, budget=SearchBudget(max_nodes=10000))",
         "max_triple_free_subset(120, budget=SearchBudget(max_nodes=10000))",
     ]),
+    "cli": lambda: _cli(["verify --level quick", "psi --n 13", "pack exact 2000 200"]),
 }
 
 
