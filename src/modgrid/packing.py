@@ -4,10 +4,17 @@ tau(m) is the fewest vertices spanning m edges; the trip cost of a
 distribution (m_1, ..., m_L) is sum C(tau(m_i), 3), and T(K, L) is its
 minimum over all distributions.  A closed form covers K <= 3L; an exact
 DP covers the rest at desk scale and arbitrates every other route.
+
+``t_exact`` lists the optima by a walk that enters only tight states (the
+cost so far plus the DP minimum of the rest equals the value), so the rest
+costs exactly what is left.  That caps each part's own cost, and once the
+parts are at most 3 the rest is closed: threes and twos cost 1 each, ones
+and zeros nothing, one rest per count of threes (see ``t_exact``).
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -146,40 +153,56 @@ def _min_cost(k: int, l: int) -> int:
 def t_exact(K: int, L: int, optima_cap: int = DEFAULT_OPTIMA_CAP) -> PackingResult:
     """Exact T(K, L) with canonical optima enumerated up to ``optima_cap``.
 
-    A state with k <= l pairs left is reached only if its cost, plus the
-    rest's minimum 0, is at most the value; no tuple costs less, so the rest
-    is the one zero-cost tail: k ones, then l - k zeros (after a 0, k = 0).
+    The optima come in lex-descending order from a walk over nonincreasing
+    parts that enters only tight states: the cost so far plus the DP
+    minimum of the k pairs left on l lines equals the value, so the rest
+    must cost exactly r = value - cost.  Two rules follow.  A part's own
+    cost C(tau(m), 3) does not fall as m grows and no part costs less than
+    0, so no part exceeds C(s, 2) for the largest s with C(s, 3) <= r.
+    Once the parts are at most 3 (parts 0 and 1 cost 0, parts 2 and 3 cost
+    1), the rest is 3^a 2^b 1^c 0^d with a + b = r and 3a + 2b + c = k,
+    listed by a descending (a = 0 once the parts are at most 2).
+    ``optima_cap`` below 1 raises ``OutOfRange``.
     """
     _check_KL(K, L)
+    if optima_cap < 1:
+        raise OutOfRange(f"optima_cap must be >= 1, got {optima_cap}")
     if L == 0:
         if K != 0:
             raise OutOfRange("cannot place pairs on zero lines")
         return PackingResult(0, ((),), False)
+    c2, c3, taus = _tables()
     value = _min_cost(K, L)
     optima: list[tuple[int, ...]] = []
     truncated = False
 
     def extend(prefix: list[int], k: int, l: int, cap: int, cost: int) -> None:
         nonlocal truncated
-        if truncated:
+        r = value - cost
+        # the largest part whose own cost C(tau(m), 3) is at most r
+        top = min(cap, k, c2[bisect_right(c3, r) - 1])
+        if top <= 3:
+            # 3^a 2^(r-a) 1^c 0^d: c >= 0 bounds a above, d >= 0 below
+            for a in range(min(r if top == 3 else 0, k - 2 * r), max(k - r - l, 0) - 1, -1):
+                if len(optima) == optima_cap:
+                    truncated = True
+                    return
+                c = k - 2 * r - a
+                optima.append(tuple(prefix) + (3,) * a + (2,) * (r - a)
+                              + (1,) * c + (0,) * (l - r - c))
             return
-        if k <= l:
-            if len(optima) < optima_cap:
-                optima.append(tuple(prefix) + (1,) * k + (0,) * (l - k))
-            else:
-                truncated = True
-            return
-        # nonincreasing parts: m in [ceil(k/l), min(cap, k)]
-        for m in range(min(cap, k), -(-k // l) - 1, -1):
-            c = cost + _min_cost(m, 1)  # one part's cost
+        # nonincreasing parts: m in [ceil(k/l), top]
+        for m in range(top, -(-k // l) - 1, -1):
+            c = cost + c3[taus[m]]
             if c + _min_cost(k - m, l - 1) > value:
                 continue
             prefix.append(m)
             extend(prefix, k - m, l - 1, m, c)
             prefix.pop()
+            if truncated:
+                return
 
     extend([], K, L, K, 0)
-    optima.sort(reverse=True)
     return PackingResult(value, tuple(optima), truncated)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modgrid.errors import BoundExceeded, DegenerateInput, NonPrimeModulus, OutOfRange
+from modgrid.modring import is_prime
 from modgrid.packing import (
     canonical_optimal_partition,
     greedy_packing,
@@ -17,6 +18,7 @@ from modgrid.packing import (
     tau,
     trip_cost,
 )
+from modgrid.verification import PSI_TABLE
 
 
 def test_tau_examples():
@@ -122,6 +124,23 @@ def test_t_exact_optima_cap():
     assert len(res.optima) == 1
 
 
+@pytest.mark.parametrize("K, L, cap", [(6, 2, 0), (6, 2, -1), (0, 0, 0), (28, 2, -64)])
+def test_t_exact_optima_cap_below_one_raises(K, L, cap):
+    with pytest.raises(OutOfRange):
+        t_exact(K, L, optima_cap=cap)
+
+
+def test_t_exact_at_the_bounds():
+    # the deepest walks: one part per line, down to L_BOUND lines
+    res = t_exact(2000, 200)
+    assert (res.value, res.optima, res.truncated) == (2000, ((10,) * 200,), False)
+    res = t_exact(2000, 37)
+    assert res.value == 5970 and len(res.optima) == 34 and not res.truncated
+    assert res.optima[0] == (66,) + (55,) * 34 + (36, 28)
+    assert res.optima == tuple(sorted(res.optima, reverse=True))
+    assert all(sum(parts) == 2000 and trip_cost(parts) == 5970 for parts in res.optima)
+
+
 def _brute_force_t(K, L):
     @lru_cache(maxsize=None)
     def rec(k, l, cap):
@@ -157,17 +176,29 @@ def _all_optima(K, L):
     return best, [parts for parts in every if trip_cost(parts) == best]
 
 
-def test_t_exact_optima_against_enumeration():
+def _check_against_enumeration(K, L):
     # the optima, their order and the truncation flag, at several caps
+    best, optima = _all_optima(K, L)
+    expected = sorted(optima, reverse=True)
+    for cap in (1, 2, 3, 64):
+        res = t_exact(K, L, optima_cap=cap)
+        assert res.value == best, (K, L)
+        assert res.optima == tuple(expected[:cap]), (K, L, cap)
+        assert res.truncated == (len(optima) > cap), (K, L, cap)
+
+
+def test_t_exact_optima_against_enumeration():
     for L in range(1, 7):
         for K in range(0, 41):
-            best, optima = _all_optima(K, L)
-            expected = sorted(optima, reverse=True)
-            for cap in (1, 2, 3, 64):
-                res = t_exact(K, L, optima_cap=cap)
-                assert res.value == best, (K, L)
-                assert res.optima == tuple(expected[:cap]), (K, L, cap)
-                assert res.truncated == (len(optima) > cap), (K, L, cap)
+            _check_against_enumeration(K, L)
+
+
+def test_t_exact_closed_tail_against_enumeration():
+    # up to K = 3L every optimum is one 3^a 2^b 1^c 0^d tail of parts <= 3;
+    # past it the tails follow a part of 4 or more
+    for L in range(7, 13):
+        for K in range(0, 3 * L + 4):
+            _check_against_enumeration(K, L)
 
 
 def test_optimum_has_triangular_structure():
@@ -228,6 +259,14 @@ def test_psi_lower_bound():
         assert psi_lower_bound(p) == -(-(p - 1) // 4)
     with pytest.raises(NonPrimeModulus):
         psi_lower_bound(9)
+
+
+def test_psi_table_primes_lie_between_the_bounds():
+    # ceil((p-1)/4) from the packing, (p-1)/2 from the x -> 1/x family
+    primes = [p for p in PSI_TABLE if p > 2 and is_prime(p)]
+    assert primes == [3, 5, 7, 11, 13, 17, 19]
+    for p in primes:
+        assert psi_lower_bound(p) <= PSI_TABLE[p] <= (p - 1) // 2, p
 
 
 def test_spread_report():

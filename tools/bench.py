@@ -11,8 +11,11 @@ compare across machines, and the nodes per second of the median run; a
 count row gives its pairs, C(m, 2) for m points, and the pairs per second.
 The "large" topic instead runs each budgeted call of the README's memory
 table REPEAT times, each in a fresh interpreter, and gives the seconds of
-the whole child process and its peak RSS.  The "cli" topic runs each
-``modgrid`` command line the same way and gives its exit code.
+the whole child process and its peak RSS.  The "pack" topic runs its
+``t_exact`` calls the same way, so the DP cache starts cold each time, and
+also gives the median seconds of the calls alone (``call_s``).  The "cli"
+topic runs each ``modgrid`` command line the same way and gives its exit
+code.
 The seconds are given with the core count and the interpreter.  Each call's
 result is printed, and each topic is written as JSON to BENCH_<topic>.json
 in the current directory.
@@ -39,6 +42,7 @@ from modgrid.geometry import CollinearityMode  # noqa: E402
 from modgrid.search import (  # noqa: E402
     ct0_subsets, lex_least_with_count, max_triple_free_subset, psi,
 )
+from pack_diff import RANDOM_CASES, grid_cases, random_cases  # noqa: E402
 
 UNIT, ANY = CollinearityMode.UNIT_LINE, CollinearityMode.ANY_LINE
 REPEAT = 5
@@ -98,6 +102,41 @@ def _fresh(calls):
             for call in calls]
 
 
+#: the child of a "pack" call: argv[2] is a JSON list of (K, L); it prints
+#: the optima found, the seconds of the calls and its own peak RSS as JSON
+_PACK_CHILD = """\
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from modgrid.packing import t_exact
+start = time.perf_counter()
+optima = sum(len(t_exact(K, L).optima) for K, L in json.loads(sys.argv[2]))
+seconds = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"optima": optima, "call_s": round(seconds, 4),
+                  "peak_rss_mb": round(rss / 1024, 1)}))
+"""
+
+
+def _pack(calls):
+    """(label, call, report) for each (label, list of (K, L)), run in a
+    fresh interpreter (see _PACK_CHILD); the report's ``call_s`` is the
+    median over the runs."""
+    rows = []
+    for label, cases in calls:
+        call_s: list[float] = []
+
+        def call(cases=cases, call_s=call_s):
+            out = json.loads(subprocess.run(
+                [sys.executable, "-c", _PACK_CHILD, SRC, json.dumps(cases)],
+                check=True, capture_output=True, text=True).stdout)
+            call_s.append(out.pop("call_s"))
+            return out
+
+        rows.append((label, call,
+                     lambda out, s, call_s=call_s: {**out, "call_s": statistics.median(call_s)}))
+    return rows
+
+
 def _cli(argvs):
     """(label, call, report) for each ``modgrid`` command line, run as
     ``python -m modgrid.cli`` in a fresh interpreter; the report is its
@@ -117,7 +156,9 @@ def _random_transversal(n: int) -> list[int]:
 #: topic -> calls; the psi calls are those of the psi_serial benchmark
 #: workload, and the census calls are its largest prime and composite cases.
 #: The large calls are those of the README's memory table, and the cli
-#: calls are the CLI's end-to-end layer
+#: calls are the CLI's end-to-end layer.  The pack calls are the grid and
+#: the seeded random (K, L) of tools/pack_diff.py, and the largest accepted
+#: input
 TOPICS = {
     "psi": lambda: _searches([
         (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
@@ -142,6 +183,11 @@ TOPICS = {
         "psi(126, ANY, budget=SearchBudget(max_nodes=2000))",
         "ct0_subsets(120, budget=SearchBudget(max_nodes=10000))",
         "max_triple_free_subset(120, budget=SearchBudget(max_nodes=10000))",
+    ]),
+    "pack": lambda: _pack([
+        ("t_exact grid L <= 60, K <= 3L", grid_cases()),
+        (f"t_exact {RANDOM_CASES} random (K, L) <= (2000, 200)", random_cases()),
+        ("t_exact(2000, 200)", [[2000, 200]]),
     ]),
     "cli": lambda: _cli(["verify --level quick", "psi --n 13", "pack exact 2000 200"]),
 }
