@@ -65,10 +65,10 @@ so only those placements pay for the marks.
 
 Symmetry reduction (psi only).  The maps (x, y) -> (ax + b, cy + e)
 with units a, c keep transversals and triple counts, in both modes.  psi's
-``reduction`` picks the branches: "none" tries every sigma(0), "translate"
-fixes sigma(0) = 0, "full" also sigma(1) = 1 at prime n, and "canonical",
-the default, keeps fewer images of each transversal, at least one (isomorph
-rejection by canonical form: McKay, J. Algorithms 26, 1998):
+``reduction`` picks the branches: "full" fixes sigma(0) = 0, and also
+sigma(1) = 1 at prime n, and "canonical", the default, keeps fewer images
+of each transversal, at least one (isomorph rejection by canonical form:
+McKay, J. Algorithms 26, 1998):
 
 - Composite n: a floor on unit-pair gcds.  Let d be the least
   gcd(sigma(j) - sigma(i), n) over column pairs with j - i a unit.  The map
@@ -115,7 +115,7 @@ to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
 The lex-least rule.  Let sigma* be the lex-least transversal with a given
 count.  A translation and a unit scaling of values make sigma*(0) = 0 and
 sigma*(1) = gcd(sigma*(1), n), the images being no larger: so sigma* lies
-in the branches of "none", "translate" and "full", and at prime n, where
+in the branches of "full", and at prime n, where
 y -> (y - sigma(0))/(sigma(1) - sigma(0)) does it, starts (0, 1).  Under
 "canonical" at composite n, sigma*(1) is its floor d, or the pair at
 the floor would give a smaller image: sigma* is in branch d, and the
@@ -710,7 +710,7 @@ def _pool_branch(branch, limit):
 
 
 #: psi's reductions; "auto" is "canonical", or on resume the checkpoint's
-_REDUCTIONS = ("auto", "canonical", "full", "translate", "none")
+_REDUCTIONS = ("auto", "canonical", "full")
 
 
 def _orbit_min(p: int) -> list[int]:
@@ -734,12 +734,10 @@ def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[i
     """psi's branches, as (anchor, prefix) pairs (see
     _Placement.root), for n >= 3."""
     n = engine.n
-    if reduction == "none":
-        return [(0, (v,)) for v in range(n)]
-    if reduction == "translate" or (reduction == "full" and not engine.prime):
-        return [(0, (0, v)) for v in range(1, n)]
     if reduction == "full":
-        return [(0, (0, 1, v)) for v in range(2, n)]
+        if engine.prime:
+            return [(0, (0, 1, v)) for v in range(2, n)]
+        return [(0, (0, v)) for v in range(1, n)]
     if engine.prime:
         roots = [(r, (0, 1)) for r in _orbit_representatives(n)]
     else:
@@ -752,18 +750,17 @@ def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[i
     return branches
 
 
-def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str,
-                     seed: Optional[int]) -> dict:
+def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) -> dict:
     """The checkpoint at ``path``; CheckpointMismatch for one that does not
-    parse, does not match the call or does not hold together.  ``seed`` is
-    the count of the prime seed, None at composite n."""
+    parse, does not match the call or does not hold together."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError:
+        # a file nested too deep overflows the parser's recursion
+        except (ValueError, RecursionError):
             data = None
-    if not isinstance(data, dict) or data.get("version") not in (1, CHECKPOINT_VERSION):
-        raise CheckpointMismatch(f"{path} is not a version 1 or {CHECKPOINT_VERSION} checkpoint")
+    if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointMismatch(f"{path} is not a version {CHECKPOINT_VERSION} checkpoint")
     if data.get("n") != n or data.get("mode") != mode.value:
         raise CheckpointMismatch(
             f"checkpoint {path} is for n={data.get('n')}, mode={data.get('mode')}"
@@ -776,17 +773,13 @@ def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str,
         return all(type(v) is int and 0 <= v < n for v in values) and len(set(values)) == len(values)
 
     try:
-        # a branch is stored with its anchor; files written before that hold
-        # a bare prefix, whose anchor is 0
-        data["remaining"] = [(e["anchor"], tuple(e["prefix"])) if isinstance(e, dict)
-                             else (0, tuple(e)) for e in data["remaining"]]
+        data["remaining"] = [(e["anchor"], tuple(e["prefix"])) for e in data["remaining"]]
         # a non-null witness is a transversal with ``best`` triples; a null
-        # one stands for the seed at prime n, so ``best`` is the seed's
-        # count, and at composite n for no completion yet, which rules out a
-        # best value and a finished run
+        # one stands for no completion yet, which rules out a best value and
+        # a finished run
         witness = data["witness"]
         sound = all(distinct([a]) and distinct(p) for a, p in data["remaining"]) and (
-            witness is None and data["best"] == seed and (seed is not None or data["remaining"])
+            witness is None and data["best"] is None and data["remaining"]
             or witness is not None and len(witness) == n and distinct(witness)
             and count_triples(transversal_points(witness), n, mode) == data["best"])
     except (KeyError, TypeError):
@@ -804,10 +797,9 @@ def _write_checkpoint(
     best,
     witness,
     remaining: list[tuple[int, tuple[int, ...]]],
-    version: int = CHECKPOINT_VERSION,
 ) -> None:
     data = {
-        "version": version,
+        "version": CHECKPOINT_VERSION,
         "n": n,
         "mode": mode.value,
         "reduction": reduction,
@@ -831,13 +823,13 @@ def psi(
     """Minimum collinear-triple count over all transversals of Z_n, with the
     lexicographically least transversal attaining it.
 
-    One branch-and-bound over the branches of ``reduction``, in root-bound
-    order at composite n, serial or pooled, under the tie rule and the
-    lex-least rule (see the module docstring); a version 1 checkpoint also
-    owes the "first" walk.  Budget exhaustion yields exact = False with the best value found
-    so far (an upper bound) and its witness; the checkpoint then keeps every
-    branch not yet finished, so a resumed run gives the uninterrupted
-    result.
+    One branch-and-bound over the branches of ``reduction`` ("canonical",
+    or "full"; "auto" is the checkpoint's on resume, else "canonical"), in
+    root-bound order at composite n, serial or pooled, under the tie rule
+    and the lex-least rule (see the module docstring).  Budget exhaustion
+    yields exact = False with the best value found so far (an upper bound)
+    and its witness; the checkpoint then keeps every branch not yet
+    finished, so a resumed run gives the uninterrupted result.
     """
     _check_bound(n)
     if reduction not in _REDUCTIONS:
@@ -850,32 +842,26 @@ def psi(
     engine = _Placement(n, mode)
     best: float = math.inf
     witness: Optional[list[int]] = None
-    seed = None
     if engine.prime:
         # the self-inverse construction is the first incumbent
         witness = inverse_permutation(n)
-        best = seed = count_triples(transversal_points(witness), n, mode)
+        best = count_triples(transversal_points(witness), n, mode)
 
     if checkpoint and os.path.exists(checkpoint):
-        data = _load_checkpoint(checkpoint, n, mode, reduction, seed)
+        data = _load_checkpoint(checkpoint, n, mode, reduction)
         red, branches = data["reduction"], data["remaining"]
-        # a null witness stands for no completion yet, or the prime seed
+        # a null witness stands for no completion yet
         if data["witness"] is not None and (data["best"], data["witness"]) < (best, witness):
             best, witness = data["best"], list(data["witness"])
-        # a version 1 file's finished branches ran strictly and may hide a
-        # lex-smaller tie; the file stays version 1 until the walk is done
-        walk = data["version"] == 1
     else:
         red = "canonical" if reduction == "auto" else reduction
         branches = _psi_branches(engine, red)
-        walk = False
     if not engine.prime:
         # with no seed, the branch of the least root bound first
         branches.sort(key=engine.root_bounds(branches).__getitem__)
-    version = 1 if walk else CHECKPOINT_VERSION
     if checkpoint:
         # an unwritable path fails here, before any branch is searched
-        _write_checkpoint(checkpoint, n, mode, red, best, witness, branches, version)
+        _write_checkpoint(checkpoint, n, mode, red, best, witness, branches)
 
     nodes_left = _NodeBudget(budget, start)
     nodes_total = 0
@@ -902,7 +888,7 @@ def psi(
         else:
             remaining.remove(branch)
         if checkpoint:
-            _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining, version)
+            _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
 
     workers = min(budget.workers, len(branches), os.cpu_count() or 1)
     if workers > 1:
@@ -934,13 +920,11 @@ def psi(
             if aborted:
                 break
 
-    if not aborted and (walk or red == "canonical" and engine.prime and witness[:3] != [0, 1, 2]):
+    if not aborted and red == "canonical" and engine.prime and witness[:3] != [0, 1, 2]:
         _, w, nodes, pruned, aborted = _search_branch(engine, (), best, nodes_left, "first")
         nodes_total += nodes
         pruned_total += pruned
         witness = w or witness
-        if walk and checkpoint and not aborted:
-            _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
     exact = not aborted
     elapsed = time.perf_counter() - start
     note = "" if exact else "upper bound: search budget exhausted"

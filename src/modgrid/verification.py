@@ -35,7 +35,7 @@ __all__ = ["CheckResult", "run_verification"]
 
 #: Reference minimum-triple counts for n = 1..15, 17 and 19 under the
 #: default mode; no check runs 14 and up.  14 and 15: the "canonical"
-#: reduction, ``workers=2`` and "translate" agree; 17: "canonical" and
+#: reduction, ``workers=2`` and "full" agree; 17: "canonical" and
 #: "full" agree; 19: "canonical" and ``workers=2`` agree.
 PSI_TABLE = {1: 0, 2: 0, 3: 1, 4: 0, 5: 2, 6: 0, 7: 3, 8: 0, 9: 5, 10: 2,
              11: 5, 12: 0, 13: 6, 14: 9, 15: 6, 17: 8, 19: 9}

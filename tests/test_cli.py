@@ -121,10 +121,12 @@ def test_psi_rejects_a_budget_out_of_range(capsys, flag, value):
 
 def test_psi_rejects_a_bad_checkpoint(capsys, tmp_path):
     ckpt = tmp_path / "ckpt.json"
-    ckpt.write_text("{")
-    code, out, err = run_cli(capsys, "psi", "--n", "5", "--checkpoint", str(ckpt))
-    assert code == EXIT_USAGE
-    assert out == "" and "error:" in err and "Traceback" not in err
+    # not JSON, and nested too deep for the parser
+    for text in ("{", "[" * 100_000):
+        ckpt.write_text(text)
+        code, out, err = run_cli(capsys, "psi", "--n", "5", "--checkpoint", str(ckpt))
+        assert code == EXIT_USAGE
+        assert out == "" and "error:" in err and "Traceback" not in err
 
 
 def test_unwritable_output_paths_fail_before_the_search(capsys, tmp_path, monkeypatch):

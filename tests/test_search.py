@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from modgrid import search
 from modgrid.census import count_quadruples, count_triples, transversal_points
-from modgrid.constructions import g_permutation, inverse_permutation
+from modgrid.constructions import g_permutation
 from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from modgrid.geometry import CollinearityMode
 from modgrid.geometry import collinear_triple
@@ -67,14 +67,6 @@ def test_pruned_search_matches_brute_force(n, mode):
     assert psi(n, mode=mode).value == psi_brute_force(n, mode).value
 
 
-@pytest.mark.parametrize("n", [5, 7])
-def test_full_reduction_matches_translate_only(n):
-    full = psi(n, reduction="full")
-    translate = psi(n, reduction="translate")
-    none = psi(n, reduction="none")
-    assert full.value == translate.value == none.value
-
-
 @functools.lru_cache(maxsize=None)
 def _brute_force(n, mode):
     """(value, lex-least witness) of plain enumeration, once per (n, mode)."""
@@ -86,7 +78,7 @@ def _brute_force(n, mode):
 def test_psi_witness_is_lex_least_optimum(n):
     for mode in (UNIT, ANY):
         want = _brute_force(n, mode)
-        for reduction in ("canonical", "full", "translate", "none"):
+        for reduction in ("canonical", "full"):
             out = psi(n, mode, reduction=reduction)
             assert out.exact and (out.value, out.witness) == want, (mode, reduction)
 
@@ -220,62 +212,12 @@ def test_resume_holding_a_lex_greater_witness_finds_the_lex_least(tmp_path):
         assert held > w and count_triples(transversal_points(held), 9) == ref.value
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({
-            "version": 1, "n": 9, "mode": "unit", "reduction": "translate",
+            "version": 2, "n": 9, "mode": "unit", "reduction": "full",
             "best": ref.value, "witness": held,
-            "remaining": [[0, v] for v in range(1, 9)],
+            "remaining": [{"anchor": 0, "prefix": [0, v]} for v in range(1, 9)],
         }))
         resumed = psi(9, checkpoint=str(path))
         assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, w)
-
-
-def test_finished_version_1_checkpoint_resumes_to_the_lex_least_witness(tmp_path):
-    # a version 1 file's branches ran strictly, so a lex-smaller tie with the
-    # seed may be hidden: the resume walks to the lex-least witness
-    ref = psi(11)
-    seed = inverse_permutation(11)
-    assert seed != ref.witness
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps({
-        "version": 1, "n": 11, "mode": "unit", "reduction": "full",
-        "best": ref.value, "witness": seed, "remaining": [],
-    }))
-    assert not psi(11, budget=SearchBudget(max_nodes=1), checkpoint=str(path)).exact
-    # an interrupted resume still owes the walk, so the file stays version 1
-    assert json.loads(path.read_text())["version"] == 1
-    resumed = psi(11, checkpoint=str(path))
-    assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
-    # the finished walk upgrades the file, whose witness is now the lex-least
-    data = json.loads(path.read_text())
-    assert (data["version"], data["witness"]) == (2, ref.witness)
-    again = psi(11, checkpoint=str(path))
-    assert (again.value, again.exact, again.witness) == (ref.value, True, ref.witness)
-
-
-def test_resume_from_a_checkpoint_holding_the_prime_seed(tmp_path):
-    # a null witness with a best value stands for the prime seed
-    ref = psi(11)
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps({
-        "version": 1, "n": 11, "mode": "unit", "reduction": "full",
-        "best": ref.value, "witness": None,
-        "remaining": [[0, 1, v] for v in range(2, 11)],
-    }))
-    resumed = psi(11, checkpoint=str(path))
-    assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
-
-
-# a null witness at prime n stands for the seed, so only the seed's count
-# (5 at n = 11) goes with it
-@pytest.mark.parametrize("best", [3, 9, None])
-def test_psi_rejects_a_prime_checkpoint_whose_best_is_not_the_seed(tmp_path, monkeypatch, best):
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps({
-        "version": 2, "n": 11, "mode": "unit", "reduction": "canonical",
-        "best": best, "witness": None, "remaining": [],
-    }))
-    monkeypatch.setattr(search, "_search_branch", _no_search)
-    with pytest.raises(CheckpointMismatch):
-        psi(11, checkpoint=str(path))
 
 
 def _root_bound(n, branch):
@@ -303,8 +245,8 @@ def test_fresh_checkpoint_lists_root_bound_order_at_composite_n_only(tmp_path, n
 
 @pytest.mark.parametrize("n,mode,reduction", [
     (9, ANY, "canonical"), (10, ANY, "canonical"), (12, UNIT, "canonical"),
-    (12, ANY, "canonical"), (15, UNIT, "canonical"), (12, UNIT, "translate"),
-    (10, UNIT, "none"), (11, UNIT, "canonical"),
+    (12, ANY, "canonical"), (15, UNIT, "canonical"), (12, UNIT, "full"),
+    (10, UNIT, "full"), (11, UNIT, "canonical"),
 ])
 def test_root_bounds_equal_roots_placed_from_scratch(n, mode, reduction):
     engine = _Placement(n, mode)
@@ -450,9 +392,8 @@ def test_psi_checkpoint_mismatch(tmp_path):
     psi(7, budget=SearchBudget(max_nodes=50), checkpoint=path)
     with pytest.raises(CheckpointMismatch):
         psi(9, checkpoint=path)
-    for reduction in ("full", "translate", "none"):
-        with pytest.raises(CheckpointMismatch):
-            psi(7, checkpoint=path, reduction=reduction)
+    with pytest.raises(CheckpointMismatch):
+        psi(7, checkpoint=path, reduction="full")
     assert psi(7, checkpoint=path, reduction="canonical").exact
 
 
@@ -463,16 +404,21 @@ def _replace(**fields):
 # each case breaks one part of a checkpoint written by an interrupted psi(7)
 BAD_CHECKPOINTS = {
     "not json": lambda data: "{",
+    "nested too deep": lambda data: "[" * 100_000,
+    "version 1": _replace(version=1),
     "not an object": lambda data: "[]",
     "no remaining": lambda data: json.dumps({k: v for k, v in data.items() if k != "remaining"}),
     "remaining not a list": _replace(remaining=3),
     "entry without a prefix": _replace(remaining=[{"anchor": 2}]),
+    "bare-prefix entry": _replace(remaining=[[0, 1, 2]]),
     "repeated value": _replace(remaining=[{"anchor": 2, "prefix": [0, 1, 1]}]),
-    "value out of range": _replace(remaining=[[0, 7]]),
+    "value out of range": _replace(remaining=[{"anchor": 0, "prefix": [0, 7]}]),
     "anchor out of range": _replace(remaining=[{"anchor": 9, "prefix": [0, 1]}]),
     "null best with a witness": _replace(best=None),
     "witness not a permutation": _replace(witness=[0, 1, 1, 5, 2, 3, 6]),
     "witness of another count": _replace(best=1),
+    "reduction translate": _replace(reduction="translate"),
+    "reduction none": _replace(reduction="none"),
 }
 
 
@@ -490,19 +436,36 @@ def test_psi_rejects_a_bad_checkpoint(tmp_path, monkeypatch, case):
         psi(7, checkpoint=str(path))
 
 
-# at composite n a null witness stands for no completion yet, so a file with
-# a best value, or with no branch left, has lost its witness
-@pytest.mark.parametrize("best,remaining", [(None, []), (5, [[0, v] for v in range(1, 9)])])
-def test_psi_rejects_a_composite_checkpoint_without_a_witness(tmp_path, monkeypatch, best,
-                                                              remaining):
+# a null witness stands for no completion yet, so a file with a best value,
+# or with no branch left, has lost its witness; at prime n it does not stand
+# for the seed either, whose count is 5 at n = 11
+@pytest.mark.parametrize("best,left", [(None, False), (5, True), (5, False)])
+@pytest.mark.parametrize("n", [9, 11])
+def test_psi_rejects_a_checkpoint_without_a_witness(tmp_path, monkeypatch, n, best, left):
+    branches = _psi_branches(_Placement(n, UNIT), "canonical") if left else []
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps({
-        "version": 2, "n": 9, "mode": "unit", "reduction": "translate",
-        "best": best, "witness": None, "remaining": remaining,
+        "version": 2, "n": n, "mode": "unit", "reduction": "canonical",
+        "best": best, "witness": None,
+        "remaining": [{"anchor": a, "prefix": list(p)} for a, p in branches],
     }))
     monkeypatch.setattr(search, "_search_branch", _no_search)
     with pytest.raises(CheckpointMismatch):
-        psi(9, checkpoint=str(path))
+        psi(n, checkpoint=str(path))
+
+
+# a null witness no longer stands for the prime seed, so neither a count
+# other than the seed's (5 at n = 11) nor a null best goes with it
+@pytest.mark.parametrize("best", [3, 9, None])
+def test_psi_rejects_a_prime_checkpoint_whose_best_is_not_the_seed(tmp_path, monkeypatch, best):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({
+        "version": 2, "n": 11, "mode": "unit", "reduction": "canonical",
+        "best": best, "witness": None, "remaining": [],
+    }))
+    monkeypatch.setattr(search, "_search_branch", _no_search)
+    with pytest.raises(CheckpointMismatch):
+        psi(11, checkpoint=str(path))
 
 
 def test_psi_writes_its_checkpoint_before_the_first_branch(tmp_path, monkeypatch):
@@ -732,16 +695,15 @@ def test_lex_least_adjacent_image_passes_the_floor_one_branch(data, mode):
     assert ties is not None
 
 
-# (12, ANY) is left out: "translate" takes about two minutes there.  At
-# composite n "full" is "translate"
+# (12, ANY) is left out: "full" takes 29M nodes, about 45 s, there.  At
+# composite n "full" only translates, fixing sigma(0) = 0
 @pytest.mark.parametrize("n,mode", [(n, m) for n in range(3, 13) for m in (UNIT, ANY)
                                     if (n, m) != (12, ANY)])
 def test_canonical_matches_full_and_translate(n, mode):
     canonical = psi(n, mode, reduction="canonical")
-    for reduction in ("full", "translate") if is_prime(n) else ("translate",):
-        other = psi(n, mode, reduction=reduction)
-        assert (canonical.value, canonical.exact, canonical.witness) == (
-            other.value, other.exact, other.witness), reduction
+    full = psi(n, mode, reduction="full")
+    assert (canonical.value, canonical.exact, canonical.witness) == (
+        full.value, full.exact, full.witness)
 
 
 # branches finish out of order in a pool; the tie rule still merges them to
@@ -786,8 +748,9 @@ def test_psi_budget_is_an_exact_cap_across_bulk_counted_nodes(k):
 
 
 def test_psi_rejects_unknown_reduction():
-    with pytest.raises(OutOfRange):
-        psi(5, reduction="transpose")
+    for reduction in ("transpose", "translate", "none"):
+        with pytest.raises(OutOfRange):
+            psi(5, reduction=reduction)
 
 
 def test_lex_least_examples():

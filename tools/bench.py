@@ -42,7 +42,7 @@ from modgrid.geometry import CollinearityMode  # noqa: E402
 from modgrid.search import (  # noqa: E402
     ct0_subsets, lex_least_with_count, max_triple_free_subset, psi,
 )
-from pack_diff import RANDOM_CASES, grid_cases, random_cases  # noqa: E402
+from same_output import RANDOM_CASES, grid_cases, random_cases  # noqa: E402
 
 UNIT, ANY = CollinearityMode.UNIT_LINE, CollinearityMode.ANY_LINE
 REPEAT = 5
@@ -157,7 +157,7 @@ def _random_transversal(n: int) -> list[int]:
 #: workload, and the census calls are its largest prime and composite cases.
 #: The large calls are those of the README's memory table, and the cli
 #: calls are the CLI's end-to-end layer.  The pack calls are the grid and
-#: the seeded random (K, L) of tools/pack_diff.py, and the largest accepted
+#: the seeded random (K, L) of tools/same_output.py, and the largest accepted
 #: input
 TOPICS = {
     "psi": lambda: _searches([

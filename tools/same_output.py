@@ -1,0 +1,125 @@
+"""Compare the outputs of this checkout with those of another checkout.
+
+    python3 tools/same_output.py TOPIC OTHER_CHECKOUT
+
+Each checkout's ``src/`` is imported in its own fresh interpreter, which
+runs every case of TOPIC and prints one result per case.
+
+``pack``: (value, optima, truncated) of ``t_exact`` at optima caps 1, 3
+and 64.  The cases are the closed-form grid (L <= 60, K <= 3L), K <= 400 in
+steps of 7 for L <= 20, RANDOM_CASES seeded random (K, L) up to the bounds
+(2000, 200), and (2000, 200), (26, 2) and (28, 2).
+
+``psi``: (value, witness, exact, nodes) of ``psi`` under "canonical" and
+"full" for n <= 12 in both modes, and of ``psi(13)``; and, for n = 9..12 in
+both modes, a canonical run cut at INTERRUPT_NODES nodes, the checkpoint
+it leaves, and the run resumed from it.  "full" at (12, any) takes about
+45 s, so the topic takes about a minute.
+
+One JSON line gives the case count and the number of cases that differ,
+with the first few of them; the exit code is 1 when any differ.
+"""
+from __future__ import annotations
+
+import json
+import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+CAPS = (1, 3, 64)
+RANDOM_CASES = 300
+#: seed of the random cases, shared with the "pack" topic of tools/bench.py
+SEED = 1
+#: the node budget of the interrupted leg of the psi resume cases
+INTERRUPT_NODES = 1000
+
+#: argv[1] is the source directory and argv[2] the topic; the cases are
+#: read from stdin as a JSON list of argument lists
+_CHILD = """\
+import json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from modgrid.geometry import CollinearityMode
+from modgrid.packing import t_exact
+from modgrid.search import SearchBudget, psi
+
+
+def pack(K, L, cap):
+    r = t_exact(K, L, optima_cap=cap)
+    return [r.value, r.optima, r.truncated]
+
+
+def outcome(out):
+    return [out.value, out.witness, out.exact, out.nodes_explored]
+
+
+def run_psi(n, mode, reduction, max_nodes=None):
+    mode = CollinearityMode(mode)
+    if max_nodes is None:
+        return outcome(psi(n, mode, reduction=reduction))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.json")
+        cut = psi(n, mode, SearchBudget(max_nodes=max_nodes), path, reduction)
+        with open(path) as fh:
+            written = json.load(fh)
+        return [outcome(cut), written, outcome(psi(n, mode, checkpoint=path))]
+
+
+run = {"pack": pack, "psi": run_psi}[sys.argv[2]]
+print(json.dumps([run(*case) for case in json.load(sys.stdin)]))
+"""
+
+
+def random_cases() -> list[list[int]]:
+    """RANDOM_CASES seeded random (K, L) with K <= 2000 and 1 <= L <= 200."""
+    rng = random.Random(SEED)
+    return [[rng.randint(0, 2000), rng.randint(1, 200)] for _ in range(RANDOM_CASES)]
+
+
+def grid_cases() -> list[list[int]]:
+    """The closed-form grid of the cli_cold workload: L <= 60, K <= 3L."""
+    return [[K, L] for L in range(1, 61) for K in range(3 * L + 1)]
+
+
+def pack_cases() -> list[list[int]]:
+    steps = [[K, L] for L in range(1, 21) for K in range(0, 401, 7)]
+    fixed = [[2000, 200], [26, 2], [28, 2]]
+    return [[K, L, cap] for K, L in grid_cases() + steps + random_cases() + fixed
+            for cap in CAPS]
+
+
+def psi_cases() -> list[list]:
+    modes = ("unit", "any")
+    return ([[n, mode, red] for n in range(1, 13) for mode in modes
+             for red in ("canonical", "full")]
+            + [[13, "unit", "canonical"]]
+            + [[n, mode, "canonical", INTERRUPT_NODES] for n in range(9, 13) for mode in modes])
+
+
+TOPICS = {"pack": pack_cases, "psi": psi_cases}
+
+
+def outputs(checkout: Path, topic: str, cases: list[list]) -> list:
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", _CHILD, str(checkout / "src"), topic], input=json.dumps(cases),
+        check=True, capture_output=True, text=True).stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or argv[0] not in TOPICS:
+        print(__doc__, file=sys.stderr)
+        return 2
+    topic, other = argv[0], Path(argv[1]).resolve()
+    cases = TOPICS[topic]()
+    # the two checkouts run side by side, each in its own interpreter
+    with ThreadPoolExecutor(2) as pool:
+        ours, theirs = pool.map(lambda checkout: outputs(checkout, topic, cases), (HERE, other))
+    differ = [case for case, a, b in zip(cases, ours, theirs) if a != b]
+    print(json.dumps({"cases": len(cases), "differ": len(differ), "first": differ[:5]}))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
