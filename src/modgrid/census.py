@@ -31,12 +31,13 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .errors import DegenerateInput, OutOfRange
+from .errors import DegenerateInput
 from .geometry import (
     DEFAULT_MODE,
     CollinearityMode,
     ModularLine,
     Point,
+    _checked_points,
     collinear_by_minors,
     collinear_set,
 )
@@ -88,16 +89,6 @@ def transversal_points(sigma: Sequence[int]) -> list[Point]:
     """The graph {(x, sigma[x])} of a permutation."""
     validate_transversal(sigma)
     return [(x, y) for x, y in enumerate(sigma)]
-
-
-def _checked_points(points: Sequence[Point], n: int) -> list[Point]:
-    # the entry check of every count
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
-    pts = [(x % n, y % n) for x, y in points]
-    if len(set(pts)) != len(pts):
-        raise DegenerateInput("duplicate points in set")
-    return pts
 
 
 def count_triples_naive(

@@ -38,7 +38,7 @@ from enum import Enum
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .errors import DegenerateInput, DegeneratePair
+from .errors import DegenerateInput, DegeneratePair, OutOfRange
 from .modring import mod_inverse, require_prime
 
 __all__ = [
@@ -84,6 +84,8 @@ class ModularLine:
     n: int
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise OutOfRange(f"n must be >= 1, got {self.n}")
         if (self.a % self.n, self.b % self.n) == (0, 0):
             raise DegenerateInput("(a, b) = (0, 0) does not define a line")
 
@@ -103,11 +105,14 @@ def _reduce(p: Point, n: int) -> Point:
     return (p[0] % n, p[1] % n)
 
 
-def _require_distinct(points: Sequence[Point], n: int) -> list[Point]:
-    reduced = [_reduce(p, n) for p in points]
-    if len(set(reduced)) != len(reduced):
-        raise DegenerateInput(f"points not pairwise distinct mod {n}: {points}")
-    return reduced
+def _checked_points(points: Sequence[Point], n: int) -> list[Point]:
+    # the entry check of every collinearity predicate and every count
+    if n < 1:
+        raise OutOfRange(f"n must be >= 1, got {n}")
+    pts = [(x % n, y % n) for x, y in points]
+    if len(set(pts)) != len(pts):
+        raise DegenerateInput(f"points not pairwise distinct mod {n}")
+    return pts
 
 
 def pair_slope(p: Point, q: Point, n: int):
@@ -150,7 +155,7 @@ def collinear_points(
     points: Sequence[Point], n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> bool:
     """Whether distinct points lie on a common line (per mode), in closed form."""
-    pts = _require_distinct(points, n)
+    pts = _checked_points(points, n)
     if len(pts) < 2:
         raise DegenerateInput("collinear_points needs at least 2 points")
     x0, y0 = pts[0]
@@ -165,7 +170,7 @@ def collinear_triple(
     p1: Point, p2: Point, p3: Point, n: int, mode: CollinearityMode = DEFAULT_MODE
 ) -> bool:
     """Whether three distinct points lie on a common line (per mode)."""
-    (x0, y0), (x1, y1), (x2, y2) = _require_distinct((p1, p2, p3), n)
+    (x0, y0), (x1, y1), (x2, y2) = _checked_points((p1, p2, p3), n)
     ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
     return collinear_by_minors(ax * by - bx * ay, math.gcd(n, ax, ay, bx, by), n, mode)
 
@@ -189,7 +194,7 @@ def collinear_set(
     call.  This is the semantics the closed form is tested against; the
     package computes with the closed form only.
     """
-    pts = _require_distinct(points, n)
+    pts = _checked_points(points, n)
     if len(pts) < 2:
         raise DegenerateInput("collinear_set needs at least 2 points")
     x0, y0 = pts[0]

@@ -225,15 +225,21 @@ def greedy_packing(K: int, L: int) -> tuple[int, ...]:
 def jensen_lower_bound(K: int, L: int) -> float:
     """Convexity lower bound L*g(K/L) with g(x) = (x/6)*(sqrt(1+8x) - 3).
 
-    The one floating-point surface in the package; compared against the
-    exact DP with tolerance 1e-9.
+    The package's one floating-point surface, compared with the exact DP
+    at tolerance 1e-9; OutOfRange when K/L or the bound overflows a float.
     """
     if L < 1:
         raise OutOfRange(f"L must be >= 1, got L={L}")
     if K < 0:
         raise OutOfRange(f"K must be >= 0, got K={K}")
-    x = K / L
-    return L * (x / 6.0) * (math.sqrt(1.0 + 8.0 * x) - 3.0)
+    try:
+        x = K / L
+        bound = L * (x / 6.0) * (math.sqrt(1.0 + 8.0 * x) - 3.0)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise OutOfRange("the Jensen bound of this K and L overflows a float")
+    return bound
 
 
 def psi_lower_bound(n: int) -> int:

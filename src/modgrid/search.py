@@ -308,7 +308,8 @@ def _origin_sets(n: int, mode: CollinearityMode) -> tuple[list[list[Point]], lis
     for all n^2 cells.
 
     UNIT_LINE: the unit lines through 0, the cyclic subgroups {t*u} of
-    primitive u, psi(n) of them.  ANY_LINE: 0, e, r are collinear iff
+    primitive u, n * prod(1 + 1/p) over primes p | n of them (Dedekind's
+    psi, not the paper's Psi).  ANY_LINE: 0, e, r are collinear iff
     det(e, r) = 0 mod some prime p | n, that is iff e and r fall mod p on
     one of the p + 1 lines through 0 of (Z_p)^2; one set per such line.
     """
@@ -362,9 +363,8 @@ class _Placement:
     A matrix A is one int of 16-bit fields, n to a row, one row for each
     column not yet placed: with pos columns placed, field (j - pos)*n + w
     counts the placed pairs collinear with cell (j, w), plus bit 15,
-    ``used``, set with OR when the cell is blocked (see ``blocks`` and
-    ``root``).  Counts stay below 2**15 (see SEARCH_BOUND), so the mark
-    never meets a carry.
+    ``used``, set with OR on a blocked cell (see ``tables``).  Counts stay
+    below 2**15 (see SEARCH_BOUND), so the mark never meets a carry.
 
     Placing P = (pos, v) adds one mask per earlier point Q = P - (dx, dy):
     ``pairs[dx*2n + n + e]``, e = dy or dy - n, the cells collinear with Q
@@ -399,11 +399,8 @@ class _Placement:
         self.keep = [self.mask(((r, w) for r in range(n - 1) for w in range(v, n)), ones)
                      for v in range(n)]
         self.wrap = [self.keep[0] ^ k for k in self.keep]
-        # the block mask of each floor, and the tables of one anchor, built
-        # when first asked for
-        self._blocks: dict[int, int] = {}
-        self._pinned: tuple = (None, None)
-        self.no_rows: list = [()] * n
+        # the tables of each branch anchor, built when first asked for
+        self._tables: dict[int, tuple] = {}
         # inv[u]: the inverse of u, 0 for a non-unit
         self.inv = [pow(u, -1, n) if math.gcd(u, n) == 1 else 0 for u in range(n)]
         # the sets are closed under negation, so Q = -e lies in the same sets
@@ -431,51 +428,42 @@ class _Placement:
         fields.release()
         return int.from_bytes(buf, sys.byteorder)
 
-    def blocks(self, floor: int) -> int:
-        """The cells, rows as in ``pairs``, that placing (pos, 0) marks used:
-        value 0 in every later column and, under a floor d, the cells (j, w)
-        at a unit column distance with gcd(w, n) < d; ``place`` rotates them
-        by v with the pair masks.  Built once per floor."""
-        if floor not in self._blocks:
+    def tables(self, anchor: int) -> tuple[int, int, list, bool]:
+        """(A, block, rows, lex) of the branch with ``anchor`` (see root),
+        built when first asked for and kept: at prime n for one anchor at a
+        time, at composite n, where the anchor is the floor, for good.
+
+        A is the matrix before the prefix is placed: at prime n, for r =
+        ``anchor`` > 0, the used mark on row r and on column r but not on the
+        cell (r, r), else 0.  ``block`` holds the cells, rows as in
+        ``pairs``, that placing (pos, 0) marks used: value 0 in every later
+        column and, under a floor d, the cells (j, w) at a unit column
+        distance with gcd(w, n) < d; ``place`` rotates them by v with the
+        pair masks.  ``rows`` are the min-ratio rule's rows by depth for
+        r > 2 (see _ratio_rows), else empty at every depth (2 is the least
+        orbit-min).  ``lex``: the adjacent-pair lex-leader prune applies, on
+        the floor-1 branch."""
+        if anchor not in self._tables:
             n = self.n
-            below = [0] + [w for w in range(1, n) if math.gcd(w, n) < floor]
+            A, rows = 0, [()] * n
+            if self.prime:
+                self._tables.clear()  # free the old rows before the new ones are built
+                A = anchor and self.mask([(j, anchor) for j in range(n) if j != anchor]
+                                         + [(anchor, w) for w in range(n) if w != anchor],
+                                         self.used)
+                if anchor > 2:
+                    rows = _ratio_rows(n, anchor)
+            below = [0] + [w for w in range(1, n) if not self.prime and math.gcd(w, n) < anchor]
             cells = ((r, w) for r in range(n - 1)
                      for w in (below if math.gcd(r + 1, n) == 1 else [0]))
-            self._blocks[floor] = self.mask(cells, self.used)
-        return self._blocks[floor]
-
-    def pinned(self, anchor: int) -> tuple[int, list]:
-        """(pin, rows) of the branch with ``anchor`` r at prime n: the
-        matrix with the used mark on row r and on column r but not on the
-        cell (r, r), 0 for r = 0, and the min-ratio rule's rows by depth
-        (see _ratio_rows), empty at every depth for r <= 2 (2 is the least
-        orbit-min, below which no ratio lies).  One anchor's are kept at a
-        time."""
-        if self._pinned[0] != anchor:
-            n = self.n
-            self._pinned = (None, None)  # free the old rows before the new ones are built
-            pin = anchor and self.mask([(j, anchor) for j in range(n) if j != anchor]
-                                       + [(anchor, w) for w in range(n) if w != anchor],
-                                       self.used)
-            self._pinned = (anchor, (pin, _ratio_rows(n, anchor) if anchor > 2 else self.no_rows))
-        return self._pinned[1]
-
-    def tables(self, anchor: int) -> tuple[int, int, list, bool]:
-        """(A, block, rows, lex) of the branch with ``anchor`` (see root):
-        the matrix before the prefix is placed (``pinned(anchor)``'s pin at
-        prime n, else 0), ``blocks(floor)``, the ratio rows by depth
-        (``pinned(anchor)``'s at prime n, else empty at every depth), and
-        whether the adjacent-pair lex-leader prune applies, on the floor-1
-        branch at composite n."""
-        if self.prime:
-            pin, rows = self.pinned(anchor)
-            return pin, self.blocks(0), rows, False
-        return 0, self.blocks(anchor), self.no_rows, anchor == 1
+            self._tables[anchor] = (A, self.mask(cells, self.used), rows,
+                                    not self.prime and anchor == 1)
+        return self._tables[anchor]
 
     def quad_block(self, sigma: Sequence[int], v: int) -> int:
         """The cells that placing (len(sigma), v) marks used in a
         quadruple-free search (see the module docstring), rows as in
-        ``pairs`` and, like ``blocks``, not yet rotated by v."""
+        ``pairs``, not yet rotated by v, as ``block`` in ``tables``."""
         n = self.n
         pos = len(sigma)
         d = [self.held[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)]
@@ -489,12 +477,12 @@ class _Placement:
     def place(self, A: int, offs: Sequence[int], v: int, block: int,
               ratio: Sequence[int]) -> int:
         """The matrix after adding (len(offs), v) to the placement whose
-        points have the offsets ``offs``; ``block`` is ``blocks(floor)``,
-        with ``quad_block`` ORed in for a quadruple-free search, and
-        ``ratio`` the branch's ratio rows at this depth.  The blocked cells,
-        ``block`` and the masks' cells in ``ratio``, ride in the used bits
-        of the masks' sum, above its counts, through its one rotation, and
-        are split from the counts after it."""
+        points have the offsets ``offs``; ``block`` is the branch's (see
+        ``tables``), with ``quad_block`` ORed in for a quadruple-free
+        search, and ``ratio`` the branch's ratio rows at this depth.  The
+        blocked cells, ``block`` and the masks' cells in ``ratio``, ride in
+        the used bits of the masks' sum, above its counts, through its one
+        rotation, and are split from the counts after it."""
         n = self.n
         pos = len(offs)
         k = 2 * n * pos + v
@@ -545,12 +533,13 @@ class _Placement:
     def root(self, prefix: Sequence[int], anchor: int = 0,
              quad: bool = False) -> tuple[int, list[int], int, Optional[list]]:
         """(A, sigma, count, ties) after placing ``prefix`` in a branch with
-        ``anchor`` (see _psi_branches): at prime n the diagonal cell (r, r)
-        pinned, at composite n the floor d; 0 for neither.  ``quad`` blocks
-        the cells that would complete a collinear quadruple.  ``ties`` is
-        the state of the lex-leader prune (see lex), None where it does not
-        apply.  A blocked cell in ``prefix``, or one that an adjacent image
-        beats, adds the used mark to ``count``."""
+        ``anchor`` (see _psi_branches), from the anchor's ``tables``: at
+        prime n the diagonal cell (r, r) pinned, at composite n the floor d;
+        0 for neither.  ``quad`` blocks the cells that would complete a
+        collinear quadruple.  ``ties`` is the state of the lex-leader prune
+        (see lex), None where it does not apply.  A blocked cell in
+        ``prefix``, or one that an adjacent image beats, adds the used mark
+        to ``count``."""
         A, block, ratios, lex = self.tables(anchor)
         ties = [] if lex else None
         sigma: list[int] = []
@@ -724,12 +713,6 @@ def _orbit_min(p: int) -> list[int]:
     return m
 
 
-def _orbit_representatives(p: int) -> list[int]:
-    """The least r of each orbit of {r, 1-r, 1/r, 1/(1-r), r/(r-1), (r-1)/r}
-    on 2..p-1 (p prime)."""
-    return [r for r, m in enumerate(_orbit_min(p)) if r >= 2 and m == r]
-
-
 def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[int, ...]]]:
     """psi's branches, as (anchor, prefix) pairs (see
     _Placement.root), for n >= 3."""
@@ -739,7 +722,8 @@ def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[i
             return [(0, (0, 1, v)) for v in range(2, n)]
         return [(0, (0, v)) for v in range(1, n)]
     if engine.prime:
-        roots = [(r, (0, 1)) for r in _orbit_representatives(n)]
+        # the least r of each orbit (see _orbit_min) on 2..n-1
+        roots = [(r, (0, 1)) for r, m in enumerate(_orbit_min(n)) if r >= 2 and m == r]
     else:
         roots = [(d, (0, d)) for d in range(1, n) if n % d == 0]
     # split at the third column, so that a pool has work to share
@@ -789,30 +773,6 @@ def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) 
     return data
 
 
-def _write_checkpoint(
-    path: str,
-    n: int,
-    mode: CollinearityMode,
-    reduction: str,
-    best,
-    witness,
-    remaining: list[tuple[int, tuple[int, ...]]],
-) -> None:
-    data = {
-        "version": CHECKPOINT_VERSION,
-        "n": n,
-        "mode": mode.value,
-        "reduction": reduction,
-        "best": None if best == math.inf else int(best),
-        "witness": witness,
-        "remaining": [{"anchor": a, "prefix": list(p)} for a, p in remaining],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, path)
-
-
 def psi(
     n: int,
     mode: CollinearityMode = DEFAULT_MODE,
@@ -859,15 +819,33 @@ def psi(
     if not engine.prime:
         # with no seed, the branch of the least root bound first
         branches.sort(key=engine.root_bounds(branches).__getitem__)
+
+    remaining = list(branches)
+
+    def save() -> None:
+        """Write the incumbent and the branches not yet finished."""
+        data = {
+            "version": CHECKPOINT_VERSION,
+            "n": n,
+            "mode": mode.value,
+            "reduction": red,
+            "best": None if best == math.inf else int(best),
+            "witness": witness,
+            "remaining": [{"anchor": a, "prefix": list(p)} for a, p in remaining],
+        }
+        tmp = checkpoint + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        os.replace(tmp, checkpoint)
+
     if checkpoint:
         # an unwritable path fails here, before any branch is searched
-        _write_checkpoint(checkpoint, n, mode, red, best, witness, branches)
+        save()
 
     nodes_left = _NodeBudget(budget, start)
     nodes_total = 0
     pruned_total = 0
     aborted = False
-    remaining = list(branches)
 
     def bound(branch) -> float:
         """The tie rule's limit: ``best`` for a prefix lex <= the incumbent's
@@ -888,7 +866,7 @@ def psi(
         else:
             remaining.remove(branch)
         if checkpoint:
-            _write_checkpoint(checkpoint, n, mode, red, best, witness, remaining)
+            save()
 
     workers = min(budget.workers, len(branches), os.cpu_count() or 1)
     if workers > 1:

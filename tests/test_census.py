@@ -204,8 +204,9 @@ def test_slope_histogram_matches_pair_slopes(p):
     count_triples, count_quadruples, count_triples_naive, count_quadruples_naive,
 ])
 def test_counts_reject_n_below_one(count):
-    with pytest.raises(OutOfRange):
-        count([(0, 0), (1, 1), (2, 2)], 0)
+    for n in (0, -3):
+        with pytest.raises(OutOfRange):
+            count([(0, 0), (1, 1), (2, 2)], n)
 
 
 def test_line_decomposition_examples():

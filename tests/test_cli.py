@@ -237,6 +237,12 @@ def test_pack_subcommands(capsys):
     assert sum(report["result"]["partition"]) == 7
 
 
+def test_pack_jensen_rejects_a_float_overflow(capsys):
+    code, out, err = run_cli(capsys, "pack", "jensen", str(10**400), "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_pack_exact_at_the_bounds(capsys):
     # the largest input the CLI accepts, K = K_BOUND and L = L_BOUND
     code, report, _ = run_json(capsys, "pack", "exact", "2000", "200")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgrid.errors import DegenerateInput, DegeneratePair, NonPrimeModulus
+from modgrid.errors import DegenerateInput, DegeneratePair, NonPrimeModulus, OutOfRange
 from modgrid.geometry import (
     INF,
     CollinearityMode,
@@ -33,6 +33,21 @@ def test_pair_slope_errors():
         pair_slope((1, 1), (1, 1), 7)
     with pytest.raises(NonPrimeModulus):
         pair_slope((0, 0), (1, 1), 6)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_predicates_reject_n_below_one(n):
+    # unchecked, n = 0 divides by zero, and at n = -3 the closed form calls
+    # (0, 0), (1, 1), (2, 2) collinear while the line scan does not
+    calls = [
+        lambda: collinear_triple((0, 0), (1, 1), (2, 2), n),
+        lambda: collinear_points([(0, 0), (1, 1), (2, 2)], n),
+        lambda: collinear_set([(0, 0), (1, 1), (2, 2)], n),
+        lambda: ModularLine(1, 1, 0, n),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRange):
+            call()
 
 
 def test_line_through_examples():

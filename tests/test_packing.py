@@ -249,6 +249,13 @@ def test_jensen_lower_bound():
         jensen_lower_bound(3, 0)
 
 
+@pytest.mark.parametrize("K,L", [(10**400, 1), (10**400, 10**399), (10**309, 10**308)])
+def test_jensen_lower_bound_rejects_a_float_overflow(K, L):
+    # K / L, or the bound, is too large for a float
+    with pytest.raises(OutOfRange):
+        jensen_lower_bound(K, L)
+
+
 def test_psi_lower_bound():
     assert psi_lower_bound(3) == 1
     assert psi_lower_bound(5) == 1

@@ -616,12 +616,12 @@ def test_each_floor_mask_is_built_once_per_psi_call(monkeypatch, mode):
     # the floors of n = 12 are its divisors d < 12; the root-bound order
     # interleaves them, and a mask rebuilt per branch would show here
     built, inside = [], []
-    blocks, mask = _Placement.blocks, _Placement.mask
+    tables, mask = _Placement.tables, _Placement.mask
 
-    def spy_blocks(self, floor):
-        inside.append(floor)
+    def spy_tables(self, anchor):
+        inside.append(anchor)
         try:
-            return blocks(self, floor)
+            return tables(self, anchor)
         finally:
             inside.pop()
 
@@ -630,10 +630,22 @@ def test_each_floor_mask_is_built_once_per_psi_call(monkeypatch, mode):
             built.append(inside[-1])
         return mask(self, *args, **kwargs)
 
-    monkeypatch.setattr(_Placement, "blocks", spy_blocks)
+    monkeypatch.setattr(_Placement, "tables", spy_tables)
     monkeypatch.setattr(_Placement, "mask", spy_mask)
     assert psi(12, mode).exact
     assert sorted(built) == [1, 2, 3, 4, 6]
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_tables_are_the_same_after_another_anchor(n):
+    # at prime n the tables of one anchor are kept at a time, at composite n
+    # those of every floor; either way a table built after another anchor's
+    # must be the one a fresh engine builds
+    anchors = sorted({0} | {a for a, _ in _psi_branches(_Placement(n, UNIT), "canonical")})
+    engine = _Placement(n, UNIT)
+    for a, other in itertools.permutations(anchors, 2):
+        engine.tables(other)
+        assert engine.tables(a) == _Placement(n, UNIT).tables(a), (a, other)
 
 
 class _InlinePool:

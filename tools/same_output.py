@@ -16,6 +16,15 @@ both modes, a canonical run cut at INTERRUPT_NODES nodes, the checkpoint
 it leaves, and the run resumed from it.  "full" at (12, any) takes about
 45 s, so the topic takes about a minute.
 
+``search``: (value, witness, exact, nodes) of the searches other than psi:
+``lex_least_with_count`` at p = 3, 5, 7, 11 and 13 and at (7, 2) and
+(7, 4), ``max_triples_quadfree_transversal`` for n <= 8 in both modes,
+``ct0_subsets`` for n <= 5 (unit) and n <= 4 (any), and
+``max_triple_free_subset`` for n = 2..7 in both modes.  The first two walk
+the placement engine's tables outside psi, for anchor 0 and, in
+``lex_least_with_count``, for the canonical anchors; the topic takes about
+a second.
+
 One JSON line gives the case count and the number of cases that differ,
 with the first few of them; the exit code is 1 when any differ.
 """
@@ -43,6 +52,7 @@ import json, os, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 from modgrid.geometry import CollinearityMode
 from modgrid.packing import t_exact
+from modgrid import search
 from modgrid.search import SearchBudget, psi
 
 
@@ -67,7 +77,11 @@ def run_psi(n, mode, reduction, max_nodes=None):
         return [outcome(cut), written, outcome(psi(n, mode, checkpoint=path))]
 
 
-run = {"pack": pack, "psi": run_psi}[sys.argv[2]]
+def run_search(name, n, mode, *args):
+    return outcome(getattr(search, name)(n, *args, mode=CollinearityMode(mode)))
+
+
+run = {"pack": pack, "psi": run_psi, "search": run_search}[sys.argv[2]]
 print(json.dumps([run(*case) for case in json.load(sys.stdin)]))
 """
 
@@ -98,7 +112,18 @@ def psi_cases() -> list[list]:
             + [[n, mode, "canonical", INTERRUPT_NODES] for n in range(9, 13) for mode in modes])
 
 
-TOPICS = {"pack": pack_cases, "psi": psi_cases}
+def search_cases() -> list[list]:
+    modes = ("unit", "any")
+    return ([["lex_least_with_count", p, "unit"] for p in (3, 5, 7, 11, 13)]
+            + [["lex_least_with_count", 7, "unit", target] for target in (2, 4)]
+            + [["max_triples_quadfree_transversal", n, mode]
+               for n in range(1, 9) for mode in modes]
+            + [["ct0_subsets", n, "unit"] for n in range(1, 6)]
+            + [["ct0_subsets", n, "any"] for n in range(1, 5)]
+            + [["max_triple_free_subset", n, mode] for n in range(2, 8) for mode in modes])
+
+
+TOPICS = {"pack": pack_cases, "psi": psi_cases, "search": search_cases}
 
 
 def outputs(checkout: Path, topic: str, cases: list[list]) -> list:
