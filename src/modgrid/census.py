@@ -37,8 +37,8 @@ from .geometry import (
     CollinearityMode,
     ModularLine,
     Point,
+    _by_minors,
     _checked_points,
-    collinear_by_minors,
     collinear_set,
 )
 from .modring import is_prime, require_prime
@@ -134,14 +134,14 @@ def _composite_counts(
         for j, k in combinations(range(len(d)), 2):
             (ax, ay), (bx, by) = d[j], d[k]
             det = ax * by - bx * ay
-            if not collinear_by_minors(det, math.gcd(g[j], g[k]), n, mode):
+            if not _by_minors(det, math.gcd(g[j], g[k]), n, mode):
                 continue
             triples += 1
             if quadruples:
                 for l in range(k + 1, len(d)):
                     cx, cy = d[l]
                     minors = math.gcd(det, ax * cy - cx * ay, bx * cy - cx * by)
-                    quads += collinear_by_minors(minors, math.gcd(g[j], g[k], g[l]), n, mode)
+                    quads += _by_minors(minors, math.gcd(g[j], g[k], g[l]), n, mode)
     return triples, quads
 
 

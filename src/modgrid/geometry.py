@@ -115,40 +115,56 @@ def _checked_points(points: Sequence[Point], n: int) -> list[Point]:
     return pts
 
 
-def pair_slope(p: Point, q: Point, n: int):
-    """Slope of the pair (rise over run): (qy-py)*(qx-px)^-1, or INF if vertical."""
-    require_prime(n, "pair_slope")
+def _checked_pair(p: Point, q: Point, n: int, caller: str) -> tuple[Point, Point]:
+    # the entry check of pair_slope and line_through
+    require_prime(n, caller)
     p, q = _reduce(p, n), _reduce(q, n)
     if p == q:
-        raise DegeneratePair(f"pair_slope needs distinct points, got {p} twice")
+        raise DegeneratePair(f"{caller} needs distinct points, got {p} twice")
+    return p, q
+
+
+def _slope(p: Point, q: Point, n: int):
+    # p and q reduced and distinct, n prime
     dx = (q[0] - p[0]) % n
     if dx == 0:
         return INF
     return ((q[1] - p[1]) * mod_inverse(dx, n)) % n
 
 
+def pair_slope(p: Point, q: Point, n: int):
+    """Slope of the pair (rise over run): (qy-py)*(qx-px)^-1, or INF if vertical."""
+    return _slope(*_checked_pair(p, q, n, "pair_slope"), n)
+
+
 def line_through(p: Point, q: Point, n: int) -> ModularLine:
     """The unique canonical line through two distinct points (prime n only)."""
-    require_prime(n, "line_through")
-    p, q = _reduce(p, n), _reduce(q, n)
-    if p == q:
-        raise DegeneratePair(f"line_through needs distinct points, got {p} twice")
-    s = pair_slope(p, q, n)
+    p, q = _checked_pair(p, q, n, "line_through")
+    s = _slope(p, q, n)
     if s == INF:
         return ModularLine(1, 0, p[0], n)
     # y = s*x + t  <=>  (-s)*x + y = t
     return ModularLine((-s) % n, 1, (p[1] - s * p[0]) % n, n)
 
 
+def _by_minors(minors: int, g: int, n: int, mode: CollinearityMode) -> bool:
+    # collinear_by_minors for n >= 1, the form the predicates and the
+    # census loops call after their own entry check
+    if mode == CollinearityMode.ANY_LINE:
+        return math.gcd(minors, n) > 1
+    return minors % (n * g) == 0
+
+
 def collinear_by_minors(minors: int, g: int, n: int, mode: CollinearityMode) -> bool:
-    """The closed-form collinearity test of the module docstring.
+    """The closed-form collinearity test of the module docstring, for n >= 1
+    (OutOfRange otherwise).
 
     ``minors`` is the gcd of the 2x2 minors of the differences d_i = p_i - p0
     and ``g`` the gcd of n and every entry of every d_i.
     """
-    if mode == CollinearityMode.ANY_LINE:
-        return math.gcd(minors, n) > 1
-    return minors % (n * g) == 0
+    if n < 1:
+        raise OutOfRange(f"n must be >= 1, got {n}")
+    return _by_minors(minors, g, n, mode)
 
 
 def collinear_points(
@@ -163,7 +179,7 @@ def collinear_points(
     minors = 0
     for (ax, ay), (bx, by) in combinations(d, 2):
         minors = math.gcd(minors, ax * by - bx * ay)
-    return collinear_by_minors(minors, math.gcd(n, *chain.from_iterable(d)), n, mode)
+    return _by_minors(minors, math.gcd(n, *chain.from_iterable(d)), n, mode)
 
 
 def collinear_triple(
@@ -172,7 +188,7 @@ def collinear_triple(
     """Whether three distinct points lie on a common line (per mode)."""
     (x0, y0), (x1, y1), (x2, y2) = _checked_points((p1, p2, p3), n)
     ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
-    return collinear_by_minors(ax * by - bx * ay, math.gcd(n, ax, ay, bx, by), n, mode)
+    return _by_minors(ax * by - bx * ay, math.gcd(n, ax, ay, bx, by), n, mode)
 
 
 def _mode_coeffs(n: int, mode: CollinearityMode) -> Iterable[tuple[int, int]]:

@@ -14,7 +14,13 @@ and is pruned when the bound exceeds a limit.  The bound is admissible:
 column j eventually takes some value w that is free now, and the triples
 charged to it include at least the A[j*n + w] already closed by placed
 pairs, since counts only grow.  Taking the minimum over a free set that
-still contains v only weakens it.
+still contains v only weakens it.  A node whose own bound, cnt plus all
+its rows' minima, exceeds the limit has every child over it.  While the
+slack, the limit less cnt, is below _LEVEL_CUT, that test is decided in
+the packed matrix by counting rows level by level, a few big-int
+operations a level, and a node only unpacks its own row, for its children,
+if it survives (see _Placement.bound); most nodes are pruned there.  At a
+larger slack every row is unpacked.
 
 The matrix is updated incrementally.  Placing P adds, for each earlier
 point Q, 1 to every later cell collinear with Q and P, from one mask per
@@ -291,6 +297,12 @@ BRUTE_FORCE_BOUND = 9
 
 _FIELD = 16
 
+#: the least slack at which _Placement.bound unpacks every row rather than
+#: count rows level by level.  Measured serially on Python 3.11.7: psi(13)
+#: (slack at most 5) is flat from 6 to 20, 12 runs psi(14), psi(16) and
+#: psi(17) 2-6% faster than 6, and psi(10, any) is flat from 6 to 16
+_LEVEL_CUT = 12
+
 
 def _check_bound(n: int, bound: int = SEARCH_BOUND, least: int = 1) -> None:
     """The entry check of every search: raise OutOfRange for n below
@@ -393,6 +405,11 @@ class _Placement:
         self.low = self.full ^ self.marks
         # trunc[pos]: all bits of the rows of columns pos + 1..n-1
         self.trunc = [(1 << (n - 1 - pos) * n * _FIELD) - 1 for pos in range(n)]
+        # first: all bits of row 0; row_ones: 1 in each field of row 0
+        self.first = (1 << n * _FIELD) - 1
+        self.row_ones = self.first // ((1 << _FIELD) - 1)
+        # the level tables of each depth, built when first asked for
+        self._levels: list[Optional[tuple[int, int, int]]] = [None] * (n + 1)
         # keep[v]: all bits of the fields of columns >= v in rows 0..n-2;
         # wrap[v]: those of the other columns
         ones = (1 << _FIELD) - 1
@@ -502,6 +519,67 @@ class _Placement:
         return memoryview(A.to_bytes((n - pos) * n * _FIELD // 8, sys.byteorder)
                           ).cast("H", [n - pos, n]).tolist()
 
+    def row(self, A: int) -> list[int]:
+        """The n fields of the first row of ``A``."""
+        return memoryview((A & self.first).to_bytes(self.n * _FIELD // 8, sys.byteorder)
+                          ).cast("H").tolist()
+
+    def levels(self, pos: int) -> tuple[int, int, int]:
+        """(marks, ones, ends) of a matrix with ``pos`` columns placed: in
+        each of its n - pos rows, the used bit of every field, 1 in every
+        field, and 2**15 - n in the last field; built when first asked for."""
+        if self._levels[pos] is None:
+            n = self.n
+            marks = self.marks & (1 << (n - pos) * n * _FIELD) - 1
+            self._levels[pos] = (marks, marks >> _FIELD - 1,
+                                 self.mask(((r, n - 1) for r in range(n - pos)), self.used - n))
+        return self._levels[pos]
+
+    def full_rows(self, U: int, pos: int) -> int:
+        """The number of rows of ``U``, a matrix with ``pos`` columns
+        placed, whose fields all carry the used bit: the multiply by
+        ``row_ones`` sums each row's used bits into its last field (at most
+        n, so nothing carries), and adding 2**15 - n there sets the used
+        bit exactly when the sum is n."""
+        marks, _, ends = self._levels[pos] or self.levels(pos)
+        return (((U & marks) >> _FIELD - 1) * self.row_ones + ends & marks).bit_count()
+
+    def bound(self, A: int, pos: int, slack: float) -> tuple[float, Optional[list[int]]]:
+        """(rest, row) of ``A``, a matrix with ``pos`` columns placed: row
+        its first row's fields and rest the sum of its later rows' minima
+        over free cells, when the sum of all its row minima is at most
+        ``slack`` (>= 0); (0, None) when it is over.
+
+        Below _LEVEL_CUT the sum is decided in the packed matrix, level by
+        level: it is over slack s exactly when the sum of min(row minimum,
+        s + 1) over the rows is, and that is the sum over k = 1..s + 1 of
+        the rows whose free cells all hold at least k.  Subtracting k from
+        every field of A | marks leaves the used bit on a cell that holds
+        at least k (no borrow crosses a field: counts stay below 2**15), so
+        after an OR with A, which keeps a blocked cell's mark, such a row is
+        a full row (see full_rows); a fully blocked row counts at every
+        level.  The sum stops once it passes s, and once a level has no
+        row, when it is exact.  Only then is the first row unpacked."""
+        if slack >= _LEVEL_CUT:
+            rows = self.counts(A, pos)
+            mins = list(map(min, rows))
+            total = sum(mins)
+            return (total - mins[0], rows[0]) if total <= slack else (0, None)
+        marks, ones, _ = self._levels[pos] or self.levels(pos)
+        full_rows = self.full_rows
+        X = A | marks
+        total = 0
+        for _ in range(slack + 1):
+            X -= ones
+            k = full_rows(A | X, pos)
+            if not k:
+                break
+            total += k
+            if total > slack:
+                return 0, None
+        row = self.row(A)
+        return total - min(row), row
+
     def lex(self, sigma: Sequence[int], v: int, ties: list) -> Optional[list]:
         """The +1 images still tied after adding (len(sigma), v) to ``sigma``
         on the floor-1 branch, or None when an adjacent image beats it (see
@@ -588,19 +666,21 @@ def _search_branch(
     with exactly ``limit`` triples, the lex-least one.  "max": cells that
     would complete a collinear quadruple are blocked, and each completion
     with more triples than the last one taken is taken, so the last is the
-    lex-least maximum; a node with a fully blocked later column is pruned.
-    Every free cell of a node's column is a child and counts as a node; a
-    child over the limit, or one that an adjacent image beats (see
-    _Placement.lex), is pruned.  When the node's own bound, its count plus
-    its rows' minima, is over the limit, so is every child: they are
-    counted as nodes and pruned in one step, if the slice of the budget
-    already granted holds them all, and one by one otherwise, so that
-    ``max_nodes`` stays an exact cap.  Returns (count, witness, nodes,
-    pruned, aborted), with count and witness None when no completion was
-    taken.
+    lex-least maximum; a node with a fully blocked later column is pruned
+    (see _Placement.full_rows), and with no limit to test, a node unpacks
+    only its own row.  Every free cell of a node's column is a child and
+    counts as a node; a child over the limit, or one that an adjacent image
+    beats (see _Placement.lex), is pruned.  When the node's own bound, its
+    count plus its rows' minima, is over the limit (see _Placement.bound),
+    so is every child: they are counted as nodes and pruned in one step, if
+    the slice of the budget already granted holds them all, and one by one
+    otherwise, so that ``max_nodes`` stays an exact cap.  Returns (count,
+    witness, nodes, pruned, aborted), with count and witness None when no
+    completion was taken.
     """
     n = engine.n
-    place, counts, lex, used_at = engine.place, engine.counts, engine.lex, engine.used
+    place, bound, lex, used_at = engine.place, engine.bound, engine.lex, engine.used
+    first_marks = engine.marks & engine.first
     quad = objective == "max"
     _, block, ratios, _ = engine.tables(anchor)
     A0, sigma, count, ties0 = engine.root(prefix, anchor, quad)
@@ -622,23 +702,29 @@ def _search_branch(
 
     def rec(pos: int, cnt: int, A: int, ties: Optional[list]) -> bool:
         nonlocal nodes, granted, pruned
-        rows = counts(A, pos)
-        mins = list(map(min, rows))
-        if quad and max(mins[1:], default=0) >= used_at:
+        if not quad:
+            rest, row = bound(A, pos, limit - cnt)
+        elif engine.full_rows(A >> n * _FIELD, pos + 1):
             # a later column has no free cell, so no completion lies below
             pruned += 1
             return False
-        base = cnt + sum(mins)
-        if base > limit:
+        else:
+            # no limit, so the children need only the first row: the rest
+            # is 0 at the last column, where it is taken
+            rest, row = 0, engine.row(A)
+        if row is None:
             # every free child is over the limit
-            free = sum(map(used_at.__gt__, rows[0]))
+            free = n - (A & first_marks).bit_count()
             if nodes + free <= granted:
                 nodes += free
                 pruned += free
                 return False
-        base -= mins[0]
+            # the slice granted ends inside this node: its children are
+            # counted and pruned one by one
+            rest, row = math.inf, engine.row(A)
+        base = cnt + rest
         ratio, off = ratios[pos], n - 2 * n * pos  # offset(pos, 0)
-        for v, a in enumerate(rows[0]):
+        for v, a in enumerate(row):
             if a >= used_at:
                 continue
             nodes += 1
@@ -669,7 +755,7 @@ def _search_branch(
 
     aborted = False
     # a prefix already past the bound is a single pruned node
-    if count + sum(map(min, counts(A0, start_pos))) > limit:
+    if count + sum(map(min, engine.counts(A0, start_pos))) > limit:
         pruned += 1
     elif start_pos == n:
         finish(count)

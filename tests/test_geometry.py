@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modgrid import geometry
 from modgrid.errors import DegenerateInput, DegeneratePair, NonPrimeModulus, OutOfRange
 from modgrid.geometry import (
     INF,
     CollinearityMode,
     ModularLine,
+    collinear_by_minors,
     collinear_points,
     collinear_set,
     collinear_triple,
@@ -48,6 +50,31 @@ def test_predicates_reject_n_below_one(n):
     for call in calls:
         with pytest.raises(OutOfRange):
             call()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_collinear_by_minors_rejects_n_below_one(n):
+    # unchecked, n = 0 divides by zero in unit mode, and n = -3 returns False
+    for mode in (ANY, UNIT):
+        with pytest.raises(OutOfRange):
+            collinear_by_minors(1, 1, n, mode)
+
+
+def test_line_through_checks_its_points_once(monkeypatch):
+    calls, require_prime = [], geometry.require_prime
+
+    def spy(n, *args, **kwargs):
+        calls.append(n)
+        return require_prime(n, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "require_prime", spy)
+    assert line_through((0, 0), (1, 1), 5) == ModularLine(4, 1, 0, 5)
+    assert calls == [5]
+    with pytest.raises(DegeneratePair):
+        line_through((1, 1), (6, 6), 5)
+    with pytest.raises(NonPrimeModulus):
+        line_through((0, 0), (1, 1), 6)
+    assert calls == [5, 5, 6]
 
 
 def test_line_through_examples():

@@ -18,6 +18,7 @@ from modgrid.geometry import collinear_triple
 from modgrid.modring import is_prime
 from modgrid.packing import psi_lower_bound
 from modgrid.search import (
+    _LEVEL_CUT,
     BRUTE_FORCE_BOUND,
     SEARCH_BOUND,
     SearchBudget,
@@ -175,6 +176,42 @@ def test_lookahead_bound_is_admissible(case, mode):
         assert bound <= _best_completion(n, mode, prefix + (v,))
     if len(prefix) == n:
         assert node == cnt
+
+
+@functools.lru_cache(maxsize=None)
+def _engine(n, mode):
+    return _Placement(n, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mode=st.sampled_from([UNIT, ANY]))
+def test_level_bound_matches_the_unpacked_rows(data, mode):
+    n = data.draw(st.integers(5, 13))
+    engine = _engine(n, mode)
+    # a canonical branch (min-ratio anchors and floors), or the quadruple-free
+    # walk's root, extended by free cells
+    quad = data.draw(st.booleans())
+    anchor, prefix = (0, (0,)) if quad else data.draw(
+        st.sampled_from(_psi_branches(engine, "canonical")))
+    A, sigma, _, _ = engine.root(prefix, anchor, quad)
+    for _ in range(data.draw(st.integers(0, n - 1 - len(sigma)))):
+        free = [v for v, a in enumerate(engine.counts(A, len(sigma))[0]) if a < engine.used]
+        if not free:
+            break
+        sigma += [data.draw(st.sampled_from(free))]
+        A = engine.root(sigma, anchor, quad)[0]
+    pos = len(sigma)
+    assume(pos < n)
+    rows = engine.counts(A, pos)
+    mins = list(map(min, rows))
+    assert bool(engine.full_rows(A >> n * 16, pos + 1)) == (max(mins[1:], default=0) >= engine.used)
+    slack = data.draw(st.integers(0, _LEVEL_CUT))
+    rest, row = engine.bound(A, pos, slack)
+    if sum(mins) > slack:
+        assert (rest, row) == (0, None)
+    else:
+        assert (rest, row) == (sum(mins) - mins[0], rows[0])
+    assert engine.bound(A, pos, math.inf) == (sum(mins) - mins[0], rows[0])
 
 
 # an int is a node budget for the "full" reduction, whose node counts it was
@@ -746,6 +783,19 @@ def test_canonical_node_counts(n, mode, most):
                                           (10, ANY, 21_741)])
 def test_tie_rule_node_counts(n, mode, nodes):
     assert psi(n, mode).nodes_explored == nodes
+
+
+# psi's node and pruned counts under the "full" reduction at composite n,
+# where the walk starts with no limit: a node keeps its later rows' minima
+# for the children that follow a completion below it, which lowers the
+# limit (a walk that dropped them took 35,788 nodes at (9, any))
+@pytest.mark.parametrize("n,mode,nodes,pruned", [(8, ANY, 10_677, 4_751),
+                                                 (9, UNIT, 27_186, 18_348),
+                                                 (9, ANY, 35_785, 19_733),
+                                                 (10, UNIT, 35_583, 26_968)])
+def test_full_reduction_node_counts(n, mode, nodes, pruned):
+    out = psi(n, mode, reduction="full")
+    assert (out.nodes_explored, out.nodes_pruned) == (nodes, pruned)
 
 
 # a bulk-counted node (every child over the limit) is charged in one step

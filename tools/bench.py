@@ -5,7 +5,8 @@ The package is imported from ``src/`` of the checkout holding this script:
     python3 tools/bench.py [TOPIC ...]
 
 With no TOPIC every topic in TOPICS runs.  Each call of a topic runs REPEAT
-times in this one process, serially and unbudgeted, with its defaults.  A
+times in this one process, serially and unbudgeted, with its defaults; the
+"deep" topic's psi calls, each several seconds, run once.  A
 search row gives its nodes, which do not depend on the machine, so they
 compare across machines, and the nodes per second of the median run; a
 count row gives its pairs, C(m, 2) for m points, and the pairs per second.
@@ -46,6 +47,8 @@ from same_output import RANDOM_CASES, grid_cases, random_cases  # noqa: E402
 
 UNIT, ANY = CollinearityMode.UNIT_LINE, CollinearityMode.ANY_LINE
 REPEAT = 5
+#: runs of each call of a topic, REPEAT where not listed
+REPEATS = {"deep": 1}
 #: seed of the random transversals of the census topic
 SEED = 1
 
@@ -155,6 +158,7 @@ def _random_transversal(n: int) -> list[int]:
 
 #: topic -> calls; the psi calls are those of the psi_serial benchmark
 #: workload, and the census calls are its largest prime and composite cases.
+#: The deep calls are the longest psi runs of the README's node table.
 #: The large calls are those of the README's memory table, and the cli
 #: calls are the CLI's end-to-end layer.  The pack calls are the grid and
 #: the seeded random (K, L) of tools/same_output.py, and the largest accepted
@@ -164,6 +168,7 @@ TOPICS = {
         (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
         (lex_least_with_count, 11, UNIT), (lex_least_with_count, 13, UNIT),
     ]),
+    "deep": lambda: _searches([(psi, 14, UNIT), (psi, 16, UNIT), (psi, 17, UNIT)]),
     "grid": lambda: _searches([
         (max_triple_free_subset, 5, UNIT), (max_triple_free_subset, 5, ANY),
         (max_triple_free_subset, 6, UNIT), (max_triple_free_subset, 7, UNIT),
@@ -200,9 +205,10 @@ def main(topics: list[str]) -> int:
         return 2
     for topic in topics or TOPICS:
         rows = []
+        repeat = REPEATS.get(topic, REPEAT)
         for label, call, report in TOPICS[topic]():
             seconds = []
-            for _ in range(REPEAT):
+            for _ in range(repeat):
                 start = time.perf_counter()
                 out = call()
                 seconds.append(time.perf_counter() - start)
@@ -214,7 +220,7 @@ def main(topics: list[str]) -> int:
         result = {
             "cores": os.cpu_count(),
             "python": platform.python_version(),
-            "repeat": REPEAT,
+            "repeat": repeat,
             "calls": rows,
         }
         with open(f"BENCH_{topic}.json", "w", encoding="utf-8") as fh:

@@ -10,15 +10,17 @@ and 64.  The cases are the closed-form grid (L <= 60, K <= 3L), K <= 400 in
 steps of 7 for L <= 20, RANDOM_CASES seeded random (K, L) up to the bounds
 (2000, 200), and (2000, 200), (26, 2) and (28, 2).
 
-``psi``: (value, witness, exact, nodes) of ``psi`` under "canonical" and
-"full" for n <= 12 in both modes, and of ``psi(13)``; and, for n = 9..12 in
-both modes, a canonical run cut at INTERRUPT_NODES nodes, the checkpoint
-it leaves, and the run resumed from it.  "full" at (12, any) takes about
-45 s, so the topic takes about a minute.
+``psi``: (value, witness, exact, nodes, pruned) of ``psi`` under
+"canonical" and "full" for n <= 12 in both modes, and of ``psi(13)`` and
+``psi(14)``; and a canonical run cut at a node budget, the checkpoint it
+leaves, and the run resumed from it: for n = 9..12 in both modes at
+INTERRUPT_NODES nodes, and for ``psi(13)`` at PSI13_CUTS nodes, where the
+budget ends inside a bulk-counted node or one spans the end of a slice.
+"full" at (12, any) takes about 45 s, so the topic takes about a minute.
 
-``search``: (value, witness, exact, nodes) of the searches other than psi:
-``lex_least_with_count`` at p = 3, 5, 7, 11 and 13 and at (7, 2) and
-(7, 4), ``max_triples_quadfree_transversal`` for n <= 8 in both modes,
+``search``: (value, witness, exact, nodes, pruned) of the searches other
+than psi: ``lex_least_with_count`` at p = 3, 5, 7, 11 and 13 and at (7, 2)
+and (7, 4), ``max_triples_quadfree_transversal`` for n <= 8 in both modes,
 ``ct0_subsets`` for n <= 5 (unit) and n <= 4 (any), and
 ``max_triple_free_subset`` for n = 2..7 in both modes.  The first two walk
 the placement engine's tables outside psi, for anchor 0 and, in
@@ -44,6 +46,9 @@ RANDOM_CASES = 300
 SEED = 1
 #: the node budget of the interrupted leg of the psi resume cases
 INTERRUPT_NODES = 1000
+#: the node budgets of the psi(13) resume cases: the bulk-count edges of
+#: test_psi_budget_is_an_exact_cap_across_bulk_counted_nodes
+PSI13_CUTS = (9, 4_098, 9_020)
 
 #: argv[1] is the source directory and argv[2] the topic; the cases are
 #: read from stdin as a JSON list of argument lists
@@ -62,7 +67,7 @@ def pack(K, L, cap):
 
 
 def outcome(out):
-    return [out.value, out.witness, out.exact, out.nodes_explored]
+    return [out.value, out.witness, out.exact, out.nodes_explored, out.nodes_pruned]
 
 
 def run_psi(n, mode, reduction, max_nodes=None):
@@ -108,8 +113,9 @@ def psi_cases() -> list[list]:
     modes = ("unit", "any")
     return ([[n, mode, red] for n in range(1, 13) for mode in modes
              for red in ("canonical", "full")]
-            + [[13, "unit", "canonical"]]
-            + [[n, mode, "canonical", INTERRUPT_NODES] for n in range(9, 13) for mode in modes])
+            + [[13, "unit", "canonical"], [14, "unit", "canonical"]]
+            + [[n, mode, "canonical", INTERRUPT_NODES] for n in range(9, 13) for mode in modes]
+            + [[13, "unit", "canonical", cut] for cut in PSI13_CUTS])
 
 
 def search_cases() -> list[list]:
