@@ -151,14 +151,13 @@ most C(m, 2) / 3 triples.  Each row is a line, so m <= 3n.
 """
 from __future__ import annotations
 
+# json, multiprocessing and concurrent.futures are imported where pooled or
+# checkpointed psi uses them, so that importing the package does not load them
 import itertools
-import json
 import math
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
@@ -259,6 +258,8 @@ class _NodeBudget:
     def share(self) -> None:
         """Move the node count to shared memory, for a pool to draw on."""
         if self.left is not None:
+            import multiprocessing
+
             self.shared = multiprocessing.Value("q", self.left)
 
     def expired(self) -> bool:
@@ -823,6 +824,8 @@ def _psi_branches(engine: _Placement, reduction: str) -> list[tuple[int, tuple[i
 def _load_checkpoint(path: str, n: int, mode: CollinearityMode, reduction: str) -> dict:
     """The checkpoint at ``path``; CheckpointMismatch for one that does not
     parse, does not match the call or does not hold together."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -910,6 +913,8 @@ def psi(
 
     def save() -> None:
         """Write the incumbent and the branches not yet finished."""
+        import json
+
         data = {
             "version": CHECKPOINT_VERSION,
             "n": n,
@@ -956,6 +961,8 @@ def psi(
 
     workers = min(budget.workers, len(branches), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         nodes_left.share()
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_pool, initargs=(engine, nodes_left)
@@ -1000,9 +1007,7 @@ def psi(
     check = count_triples(transversal_points(witness), n, mode)
     if check != best:
         raise AssertionError(f"witness recount {check} != reported value {best}")
-    return SearchOutcome(
-        int(best), witness, exact, nodes_total, pruned_total, elapsed, note=note
-    )
+    return SearchOutcome(int(best), witness, exact, nodes_total, pruned_total, elapsed, note=note)
 
 
 def psi_brute_force(n: int, mode: CollinearityMode = DEFAULT_MODE) -> SearchOutcome:

@@ -1,9 +1,14 @@
+import ast
 import concurrent.futures
 import functools
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -712,7 +717,7 @@ class _InlinePool:
 ])
 def test_psi_pool_is_no_larger_than_its_branches_or_cores(monkeypatch, workers, cores, size):
     # size None: one worker per branch; 0: the serial loop, no pool
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(search.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(search, "_pool_engine", None)
@@ -721,6 +726,53 @@ def test_psi_pool_is_no_larger_than_its_branches_or_cores(monkeypatch, workers, 
     out = psi(10, budget=SearchBudget(workers=workers))
     assert _InlinePool.sizes == ([] if size == 0 else [size or branches])
     assert (out.value, out.exact, out.witness) == (2, True, LEX_LEAST_WITNESSES[10, UNIT])
+
+
+#: the package's source directory, put first on a child's path
+SRC = str(Path(search.__file__).resolve().parent.parent)
+#: the modules only pooled or checkpointed psi needs
+POOL_AND_JSON = ("multiprocessing", "concurrent.futures", "json")
+
+
+def _fresh(code: str, *args: str) -> object:
+    """The value ``code`` prints as a literal, run in an interpreter that
+    skips ``site`` and has imported nothing of this test's process."""
+    lines = f"import sys\nsys.path.insert(0, {SRC!r})\n{code}"
+    out = subprocess.run([sys.executable, "-S", "-c", lines, *args],
+                         check=True, capture_output=True, text=True, timeout=60)
+    return ast.literal_eval(out.stdout)
+
+
+@pytest.mark.parametrize("module,absent", [
+    ("modgrid", POOL_AND_JSON),
+    # the CLI prints JSON itself
+    ("modgrid.cli", POOL_AND_JSON[:2]),
+])
+def test_import_leaves_the_pool_and_json_modules_unloaded(module, absent):
+    loaded = _fresh(f"import {module}\nprint([m for m in {absent!r} if m in sys.modules])")
+    assert loaded == []
+
+
+def test_pooled_checkpointed_psi_runs_from_a_cold_import(tmp_path):
+    # this process has the pool and JSON modules loaded already, so psi
+    # using a submodule that only pytest imported would pass here; a fresh
+    # process shows that psi's own imports load all it needs
+    path = str(tmp_path / "ckpt.json")
+    cut, value, exact, witness, loaded = _fresh(
+        "from modgrid import SearchBudget, psi\n"
+        "cut = psi(10, budget=SearchBudget(workers=2, max_nodes=1000), checkpoint=sys.argv[1])\n"
+        "out = psi(10, budget=SearchBudget(workers=2), checkpoint=sys.argv[1])\n"
+        "print((cut.exact, out.value, out.exact, out.witness,"
+        f" [m for m in {POOL_AND_JSON!r} if m in sys.modules]))",
+        path)
+    assert not cut
+    assert (value, exact, witness) == (2, True, LEX_LEAST_WITNESSES[10, UNIT])
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert (data["version"], data["remaining"]) == (2, [])
+    # one core runs the branches serially, without a pool
+    pooled = (os.cpu_count() or 1) > 1
+    assert loaded == list(POOL_AND_JSON if pooled else POOL_AND_JSON[2:])
 
 
 @pytest.mark.parametrize("workers", [0, -2])

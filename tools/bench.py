@@ -16,7 +16,10 @@ the whole child process and its peak RSS.  The "pack" topic runs its
 ``t_exact`` calls the same way, so the DP cache starts cold each time, and
 also gives the median seconds of the calls alone (``call_s``).  The "cli"
 topic runs each ``modgrid`` command line the same way and gives its exit
-code.
+code.  The "import" topic runs ``import modgrid`` in REPEATS["import"] fresh
+interpreters, each importing nothing else first, and gives the modules the
+import adds and the median and quartiles of its milliseconds, timed in the
+child.
 The seconds are given with the core count and the interpreter.  Each call's
 result is printed, and each topic is written as JSON to BENCH_<topic>.json
 in the current directory.
@@ -48,7 +51,7 @@ from same_output import RANDOM_CASES, grid_cases, random_cases  # noqa: E402
 UNIT, ANY = CollinearityMode.UNIT_LINE, CollinearityMode.ANY_LINE
 REPEAT = 5
 #: runs of each call of a topic, REPEAT where not listed
-REPEATS = {"deep": 1}
+REPEATS = {"deep": 1, "import": 21}
 #: seed of the random transversals of the census topic
 SEED = 1
 
@@ -152,6 +155,38 @@ def _cli(argvs):
             for argv in argvs]
 
 
+#: the child of the "import" call: argv[1] is the source directory; it
+#: prints the seconds of ``import modgrid`` and the modules it added
+_IMPORT_CHILD = """\
+import sys, time
+sys.path.insert(0, sys.argv[1])
+before = len(sys.modules)
+start = time.perf_counter()
+import modgrid
+print(time.perf_counter() - start, len(sys.modules) - before)
+"""
+
+
+def _import():
+    """(label, call, report) of ``import modgrid`` in a fresh interpreter
+    (see _IMPORT_CHILD); the report gives the modules added and the median
+    and quartiles in ms of the import over the runs."""
+    import_s: list[float] = []
+
+    def call():
+        seconds, modules = subprocess.run(
+            [sys.executable, "-c", _IMPORT_CHILD, SRC],
+            check=True, capture_output=True, text=True).stdout.split()
+        import_s.append(float(seconds))
+        return int(modules)
+
+    def report(modules, s):
+        q1, median, q3 = (round(q * 1000, 2) for q in statistics.quantiles(import_s, n=4))
+        return {"modules": modules, "import_ms": median, "import_ms_q1": q1, "import_ms_q3": q3}
+
+    return [("import modgrid", call, report)]
+
+
 def _random_transversal(n: int) -> list[int]:
     return random.Random(SEED).sample(range(n), n)
 
@@ -160,9 +195,9 @@ def _random_transversal(n: int) -> list[int]:
 #: workload, and the census calls are its largest prime and composite cases.
 #: The deep calls are the longest psi runs of the README's node table.
 #: The large calls are those of the README's memory table, and the cli
-#: calls are the CLI's end-to-end layer.  The pack calls are the grid and
-#: the seeded random (K, L) of tools/same_output.py, and the largest accepted
-#: input
+#: calls are the CLI's end-to-end layer, with a pooled psi.  The pack calls
+#: are the grid and the seeded random (K, L) of tools/same_output.py, and the
+#: largest accepted input
 TOPICS = {
     "psi": lambda: _searches([
         (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
@@ -194,7 +229,9 @@ TOPICS = {
         (f"t_exact {RANDOM_CASES} random (K, L) <= (2000, 200)", random_cases()),
         ("t_exact(2000, 200)", [[2000, 200]]),
     ]),
-    "cli": lambda: _cli(["verify --level quick", "psi --n 13", "pack exact 2000 200"]),
+    "cli": lambda: _cli(["verify --level quick", "psi --n 13", "psi --n 13 --workers 2",
+                         "pack exact 2000 200"]),
+    "import": _import,
 }
 
 

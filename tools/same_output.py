@@ -27,6 +27,14 @@ the placement engine's tables outside psi, for anchor 0 and, in
 ``lex_least_with_count``, for the canonical anchors; the topic takes about
 a second.
 
+``cli``: (exit code, stdout, stderr) of ``modgrid`` command lines, run by
+``modgrid.cli.main`` with the seconds set to 0, and the node counts too
+where a pool ran: every command and ``pack`` subcommand, CSV output, pooled
+and budgeted psi, checkpoints written and resumed, and usage and input
+errors.  The command lines of a case run in order in one temporary
+directory, which the output names as ``{tmp}``; the topic takes a few
+seconds.
+
 One JSON line gives the case count and the number of cases that differ,
 with the first few of them; the exit code is 1 when any differ.
 """
@@ -53,11 +61,12 @@ PSI13_CUTS = (9, 4_098, 9_020)
 #: argv[1] is the source directory and argv[2] the topic; the cases are
 #: read from stdin as a JSON list of argument lists
 _CHILD = """\
-import json, os, sys, tempfile
+import contextlib, io, json, os, re, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 from modgrid.geometry import CollinearityMode
 from modgrid.packing import t_exact
 from modgrid import search
+from modgrid.cli import main
 from modgrid.search import SearchBudget, psi
 
 
@@ -86,7 +95,22 @@ def run_search(name, n, mode, *args):
     return outcome(getattr(search, name)(n, *args, mode=CollinearityMode(mode)))
 
 
-run = {"pack": pack, "psi": run_psi, "search": run_search}[sys.argv[2]]
+def run_cli(*lines):
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in lines:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(line.replace("{tmp}", tmp).split())
+            # a pool's node counts depend on which worker ends first
+            masked = "elapsed|elapsed_seconds" + ("|nodes_explored|nodes_pruned"
+                                                  if "--workers" in line else "")
+            out = re.sub(f'("?(?:{masked})"?(?:: |,))[-0-9.e]+', r"\\g<1>0", out.getvalue())
+            outputs.append([code] + [text.replace(tmp, "{tmp}") for text in (out, err.getvalue())])
+    return outputs
+
+
+run = {"pack": pack, "psi": run_psi, "search": run_search, "cli": run_cli}[sys.argv[2]]
 print(json.dumps([run(*case) for case in json.load(sys.stdin)]))
 """
 
@@ -129,7 +153,31 @@ def search_cases() -> list[list]:
             + [["max_triple_free_subset", n, mode] for n in range(2, 8) for mode in modes])
 
 
-TOPICS = {"pack": pack_cases, "psi": psi_cases, "search": search_cases}
+def cli_cases() -> list[list[str]]:
+    counts = [f"count --n {n} --transversal {sigma} --mode {mode}"
+              for n, sigma in ((9, "[0,1,2,6,7,8,4,5,3]"), (10, "[0,1,3,7,2,6,5,9,4,8]"),
+                               (11, "[0,1,2,7,5,4,10,3,9,8,6]"))
+              for mode in ("unit", "any")]
+    ckpt = "psi --n 12 --checkpoint {tmp}/c.json"
+    return [[line] for line in counts + [
+        "count --n 9 --transversal [0,1,2,6,7,8,4,5,3] --format csv",
+        "count --n 4 --transversal [0,0,1,2]",
+        "psi --n 9", "psi --n 10 --mode any", "psi --n 11 --workers 2",
+        "psi --n 13 --workers 2 --format csv", "psi --n 12 --budget-nodes 1000",
+        "psi --n 9 --workers 0", "psi --n 129", "psi --n 9 --checkpoint {tmp}",
+        "table --max-n 8", "table --max-n 9 --mode any --format csv",
+        "table --max-n 9 --out {tmp}/t.csv --budget-nodes 500",
+        "construct --family inverse --n 11", "construct --family cubic --n 11",
+        "construct --family g --n 13", "construct --family mobius --n 11 --params 1 2 3 4",
+        "construct --family inverse --n 12",
+        "pack exact 28 2", "pack exact 2000 200", "pack closed 25 10", "pack closed 100 10",
+        "pack greedy 100 10", "pack jensen 100 10", "pack canonical 25 10",
+        "verify --level quick", "frobnicate",
+    ]] + [[f"{ckpt} --budget-nodes 1000", f"{ckpt} --workers 2", ckpt],
+          [f"{ckpt} --budget-nodes 1000", f"{ckpt} --mode any"]]
+
+
+TOPICS = {"pack": pack_cases, "psi": psi_cases, "search": search_cases, "cli": cli_cases}
 
 
 def outputs(checkout: Path, topic: str, cases: list[list]) -> list:
