@@ -114,6 +114,20 @@ McKay, J. Algorithms 26, 1998):
   an image anchored at a triple of ratio r, in branch r, and no triple of
   that image has a smaller ratio, so no cell of it is blocked.  This is
   canonical augmentation (McKay, J. Algorithms 26, 1998).
+- Prime n, the transpose: a lex leader (Crawford et al.) under
+  sigma <-> sigma^-1; branch r keeps sigma only when sigma <= sigma^-1.
+  Proof: (x, y) -> (y, x) maps sigma's points to sigma^-1's and lines to
+  lines, and a triple's value ratio equals its column ratio, so it keeps
+  every triple's ratio: the min-ratio rule keeps sigma exactly when it
+  keeps sigma^-1.  The pinned cells (0, 0), (1, 1) and (r, r) lie on the
+  diagonal, which it fixes, so each branch is closed under it and keeps
+  the lesser of sigma and sigma^-1, with their count.  The lex-least
+  transversal sigma* of a count has sigma* <= sigma*^-1, so it is kept: the
+  tie rule, the lex-least rule and a resume from any version 2 checkpoint
+  (whose finished branches lost nothing) still hold.  The walk carries u,
+  the first position where sigma and sigma^-1 are not both known and
+  equal (see _Placement.transpose).  Composite n is left out: the floor and
+  the floor-1 prune are not shown to commute with the transpose.
 
 Canonical branches are split at the third column, so that a pool has work
 to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
@@ -127,10 +141,11 @@ y -> (y - sigma(0))/(sigma(1) - sigma(0)) does it, starts (0, 1).  Under
 the floor would give a smaller image: sigma* is in branch d, and the
 floor-1 prune keeps the lex-least image.  At prime n branch r = 2 comes
 first, has no ratio rows and holds every transversal that starts
-(0, 1, 2), and every branch r > 2 blocks the cell (2, 2): so a result that
-starts (0, 1, 2) is sigma*, and a result on another branch is followed by
-the "first" walk from the empty prefix to the first completion with
-exactly that count (in psi, for no p <= 17).
+(0, 1, 2) up to the transpose, which keeps sigma*, and every branch r > 2
+blocks the cell (2, 2): so a result that starts (0, 1, 2) is sigma*, and a
+result on another branch is followed by the "first" walk from the empty
+prefix to the first completion with exactly that count (in psi, for no
+p <= 17).
 
 Grid searches.  max_triple_free_subset and ct0_subsets run one DFS,
 _grid_search, over subsets S of the n^2 cells held as bitmasks.  Both
@@ -446,8 +461,8 @@ class _Placement:
         fields.release()
         return int.from_bytes(buf, sys.byteorder)
 
-    def tables(self, anchor: int) -> tuple[int, int, list, bool]:
-        """(A, block, rows, lex) of the branch with ``anchor`` (see root),
+    def tables(self, anchor: int) -> tuple[int, int, list, Optional[Callable], object]:
+        """(A, block, rows, lex, ties) of the branch with ``anchor`` (see root),
         built when first asked for and kept: at prime n for one anchor at a
         time, at composite n, where the anchor is the floor, for good.
 
@@ -459,11 +474,15 @@ class _Placement:
         distance with gcd(w, n) < d; ``place`` rotates them by v with the
         pair masks.  ``rows`` are the min-ratio rule's rows by depth for
         r > 2 (see _ratio_rows), else empty at every depth (2 is the least
-        orbit-min).  ``lex``: the adjacent-pair lex-leader prune applies, on
-        the floor-1 branch."""
+        orbit-min).  ``lex`` is the branch's lex-leader prune, called as
+        ``lex(engine, sigma, v, ties)``, and ``ties`` its state before the
+        prefix: the adjacent-pair prune on the floor-1 branch, the transpose
+        on every prime branch (r >= 2), None on the others."""
         if anchor not in self._tables:
             n = self.n
             A, rows = 0, [()] * n
+            lex, ties = ((_Placement.transpose, 0) if self.prime and anchor
+                         else (_Placement.lex, []) if anchor == 1 else (None, None))
             if self.prime:
                 self._tables.clear()  # free the old rows before the new ones are built
                 A = anchor and self.mask([(j, anchor) for j in range(n) if j != anchor]
@@ -474,8 +493,7 @@ class _Placement:
             below = [0] + [w for w in range(1, n) if not self.prime and math.gcd(w, n) < anchor]
             cells = ((r, w) for r in range(n - 1)
                      for w in (below if math.gcd(r + 1, n) == 1 else [0]))
-            self._tables[anchor] = (A, self.mask(cells, self.used), rows,
-                                    not self.prime and anchor == 1)
+            self._tables[anchor] = (A, self.mask(cells, self.used), rows, lex, ties)
         return self._tables[anchor]
 
     def quad_block(self, sigma: Sequence[int], v: int) -> int:
@@ -609,25 +627,44 @@ class _Placement:
             kept.append((pos - 1, n - c))
         return kept
 
+    def transpose(self, sigma: Sequence[int], v: int, u: int) -> Optional[int]:
+        """The state u after adding (len(sigma), v) to ``sigma`` on a prime
+        branch, or None when sigma^-1 is then lex-smaller: the first position
+        where sigma and sigma^-1 are not both known and equal, n once sigma <
+        sigma^-1 is decided.  Only a child at column u or of value u moves it."""
+        pos = len(sigma)
+        if u != pos and u != v:
+            return u
+        t = [*sigma, v]
+        while u <= pos:
+            s = t[u]
+            if u not in t:
+                # sigma^-1(u) lies past column pos
+                return u if s > pos else self.n
+            w = t.index(u)
+            if s != w:
+                return self.n if s < w else None
+            u += 1
+        return u
+
     def root(self, prefix: Sequence[int], anchor: int = 0,
              quad: bool = False) -> tuple[int, list[int], int, Optional[list]]:
         """(A, sigma, count, ties) after placing ``prefix`` in a branch with
         ``anchor`` (see _psi_branches), from the anchor's ``tables``: at
         prime n the diagonal cell (r, r) pinned, at composite n the floor d;
         0 for neither.  ``quad`` blocks the cells that would complete a
-        collinear quadruple.  ``ties`` is the state of the lex-leader prune
-        (see lex), None where it does not apply.  A blocked cell in
-        ``prefix``, or one that an adjacent image beats, adds the used mark
-        to ``count``."""
-        A, block, ratios, lex = self.tables(anchor)
-        ties = [] if lex else None
+        collinear quadruple.  ``ties`` is the state of the branch's
+        lex-leader prune (see tables), None where there is none.  A blocked
+        cell in ``prefix``, or one that the prune rejects, adds the used
+        mark to ``count``."""
+        A, block, ratios, lex, ties = self.tables(anchor)
         sigma: list[int] = []
         offs: list[int] = []
         count = 0
         for pos, v in enumerate(prefix):
             a = A >> v * _FIELD & 0xFFFF
             if ties is not None:
-                kept = self.lex(sigma, v, ties)
+                kept = lex(self, sigma, v, ties)
                 if kept is None:
                     a |= self.used
                 else:
@@ -670,20 +707,20 @@ def _search_branch(
     lex-least maximum; a node with a fully blocked later column is pruned
     (see _Placement.full_rows), and with no limit to test, a node unpacks
     only its own row.  Every free cell of a node's column is a child and
-    counts as a node; a child over the limit, or one that an adjacent image
-    beats (see _Placement.lex), is pruned.  When the node's own bound, its
-    count plus its rows' minima, is over the limit (see _Placement.bound),
-    so is every child: they are counted as nodes and pruned in one step, if
-    the slice of the budget already granted holds them all, and one by one
-    otherwise, so that ``max_nodes`` stays an exact cap.  Returns (count,
-    witness, nodes, pruned, aborted), with count and witness None when no
-    completion was taken.
+    counts as a node; a child over the limit, or one that the branch's
+    lex-leader prune rejects (see _Placement.tables), is pruned.  When the
+    node's own bound, its count plus its rows' minima, is over the limit
+    (see _Placement.bound), so is every child: they are counted as nodes
+    and pruned in one step, if the slice of the budget already granted
+    holds them all, and one by one otherwise, so that ``max_nodes`` stays
+    an exact cap.  Returns (count, witness, nodes, pruned, aborted), with
+    count and witness None when no completion was taken.
     """
     n = engine.n
-    place, bound, lex, used_at = engine.place, engine.bound, engine.lex, engine.used
+    place, bound, used_at = engine.place, engine.bound, engine.used
     first_marks = engine.marks & engine.first
     quad = objective == "max"
-    _, block, ratios, _ = engine.tables(anchor)
+    _, block, ratios, lex, _ = engine.tables(anchor)
     A0, sigma, count, ties0 = engine.root(prefix, anchor, quad)
     offs = [engine.offset(i, y) for i, y in enumerate(sigma)]
     start_pos = len(prefix)
@@ -736,7 +773,8 @@ def _search_branch(
                     raise _BudgetExhausted
                 granted += grant
             kept = ties
-            if base + a > limit or ties is not None and (kept := lex(sigma, v, ties)) is None:
+            if base + a > limit or (ties is not None
+                                    and (kept := lex(engine, sigma, v, ties)) is None):
                 pruned += 1
                 continue
             if pos + 1 == n:

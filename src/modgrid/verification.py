@@ -33,12 +33,13 @@ from .search import (
 
 __all__ = ["CheckResult", "run_verification"]
 
-#: Reference minimum-triple counts for n = 1..15, 17 and 19 under the
-#: default mode; no check runs 14 and up.  14 and 15: the "canonical"
-#: reduction, ``workers=2`` and "full" agree; 17: "canonical" and
-#: "full" agree; 19: "canonical" and ``workers=2`` agree.
+#: Reference minimum-triple counts for n = 1..17 and 19 under the
+#: default mode; verify runs none from 14 up.  14 and 15: the "canonical"
+#: reduction, ``workers=2`` and "full" agree; 16 and 17: "canonical" and
+#: "full" agree, with the same witness; 19: "canonical" and ``workers=2``
+#: agree.
 PSI_TABLE = {1: 0, 2: 0, 3: 1, 4: 0, 5: 2, 6: 0, 7: 3, 8: 0, 9: 5, 10: 2,
-             11: 5, 12: 0, 13: 6, 14: 9, 15: 6, 17: 8, 19: 9}
+             11: 5, 12: 0, 13: 6, 14: 9, 15: 6, 16: 4, 17: 8, 19: 9}
 
 #: Regression fixture: Psi(9) under ANY_LINE semantics (the mode rejected
 #: by the table experiment).

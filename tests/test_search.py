@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from modgrid import search
 from modgrid.census import count_quadruples, count_triples, transversal_points
-from modgrid.constructions import g_permutation
+from modgrid.constructions import g_permutation, inverse_permutation
 from modgrid.errors import BoundExceeded, CheckpointMismatch, NonPrimeModulus, OutOfRange
 from modgrid.geometry import CollinearityMode
 from modgrid.geometry import collinear_triple
@@ -39,6 +39,7 @@ from modgrid.search import (
     psi_brute_force,
     verify_theorem1,
 )
+from modgrid.verification import PSI_TABLE
 
 ANY = CollinearityMode.ANY_LINE
 UNIT = CollinearityMode.UNIT_LINE
@@ -58,6 +59,11 @@ def test_psi_small_values(n, expected):
 def test_psi_11():
     out = psi(11)
     assert out.exact and out.value == 5
+
+
+def test_psi_16_matches_the_table():
+    out = psi(16)
+    assert (out.value, out.exact) == (PSI_TABLE[16], True)
 
 
 def test_psi_mode_sensitivity():
@@ -260,6 +266,25 @@ def test_resume_holding_a_lex_greater_witness_finds_the_lex_least(tmp_path):
         }))
         resumed = psi(9, checkpoint=str(path))
         assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, w)
+
+
+# a checkpoint of the form a run without the transpose prune writes: an
+# incumbent, here the seed, and a tail of the canonical branches, those
+# before it taken as finished without the prune
+@pytest.mark.parametrize("p", [11, 13])
+def test_resume_from_a_checkpoint_written_before_the_transpose_prune(tmp_path, p):
+    ref = psi(p)
+    seed = inverse_permutation(p)
+    branches = _psi_branches(_Placement(p, UNIT), "canonical")
+    for start in (0, 1, len(branches) // 2, len(branches) - 1):
+        path = tmp_path / f"ckpt{start}.json"
+        path.write_text(json.dumps({
+            "version": 2, "n": p, "mode": "unit", "reduction": "canonical",
+            "best": count_triples(transversal_points(seed), p), "witness": seed,
+            "remaining": [{"anchor": a, "prefix": list(b)} for a, b in branches[start:]],
+        }))
+        resumed = psi(p, checkpoint=str(path))
+        assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
 
 
 def _root_bound(n, branch):
@@ -546,6 +571,20 @@ def _anchored_image(sigma, n, i, j):
     return tau
 
 
+def _inverse(sigma):
+    """sigma^-1, the transpose of sigma."""
+    inv = [0] * len(sigma)
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    return inv
+
+
+def _least_transpose(sigma):
+    """The lesser of sigma and sigma^-1: the one the transpose prune keeps
+    on a prime branch."""
+    return min(sigma, _inverse(sigma))
+
+
 def _anchored_triples(sigma, n, mode):
     """(r, i, j) for each ordered collinear triple i, j, k of sigma whose
     ratio r = (k - i)/(j - i) is the least of its orbit (n prime)."""
@@ -568,13 +607,14 @@ def _adjacent_images(sigma, n):
 def _canonical_image(sigma, n, mode):
     """(anchor, tau): the image of sigma that the canonical reduction keeps,
     mapped as in the search module docstring: at prime n a triple of the
-    least ratio anchored, on the floor-1 branch the lex-least adjacent image."""
+    least ratio anchored, the lesser of it and its transpose, on the floor-1
+    branch the lex-least adjacent image."""
     if is_prime(n):
         triples = _anchored_triples(sigma, n, mode)
         if not triples:
             raise AssertionError(f"{sigma} has no collinear triple")
         anchor, i, j = min(triples)
-        return anchor, _anchored_image(sigma, n, i, j)
+        return anchor, _least_transpose(_anchored_image(sigma, n, i, j))
     anchor, i, j = min((math.gcd(sigma[j] - sigma[i], n), i, j)
                        for i in range(n) for j in range(n)
                        if i != j and math.gcd(j - i, n) == 1)
@@ -610,18 +650,50 @@ def test_canonical_image_passes_its_branch(data, mode):
 @example(sigma=[2, 3, 6, 1, 8, 9, 11, 10, 4, 7, 0, 5, 12])
 def test_images_anchored_at_a_larger_ratio_are_blocked(sigma):
     # the min-ratio rule: an image passes branch r only when r is the least
-    # ratio of sigma's triples; at any larger r a cell of it is blocked
+    # ratio of sigma's triples; at any larger r a cell of it is blocked.
+    # Each image is taken as the lesser of it and its transpose, which the
+    # transpose prune never rejects
     n = len(sigma)
     triples = _anchored_triples(sigma, n, UNIT)
     least = min(r for r, _, _ in triples)
     engine = _Placement(n, UNIT)
     want = count_triples(transversal_points(sigma), n)
     for r, i, j in triples:
-        _, _, count, _ = engine.root(_anchored_image(sigma, n, i, j), r)
+        _, _, count, _ = engine.root(_least_transpose(_anchored_image(sigma, n, i, j)), r)
         if r == least:
             assert count == want, (sigma, r, i, j)
         else:
             assert count >= engine.used, (sigma, r, i, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.sampled_from([5, 7, 11, 13]).flatmap(lambda n: st.permutations(range(n))))
+# x -> 1/x is self-inverse: the state reaches n at the last column
+@example(sigma=[0, 1, 7, 9, 10, 8, 11, 2, 5, 3, 4, 6, 12])
+# sigma and sigma^-1 agree at positions 0-2 and differ at 3
+@example(sigma=[0, 1, 2, 4, 6, 5, 3])
+@example(sigma=[0, 1, 2, 6, 3, 5, 4])
+def test_transpose_step_keeps_exactly_the_lesser_of_sigma_and_its_inverse(sigma):
+    # the transpose state walked column by column, as the walk does: sigma
+    # passes every column exactly when sigma <= sigma^-1, and a prune comes
+    # at the first column by which both define every position up to the
+    # first where they differ; position j is known to sigma at column j and
+    # to sigma^-1 at column sigma^-1(j)
+    n = len(sigma)
+    inv = _inverse(sigma)
+    engine = _Placement(n, UNIT)
+    u, pruned_at = 0, None
+    for pos, v in enumerate(sigma):
+        u = engine.transpose(sigma[:pos], v, u)
+        if u is None:
+            pruned_at = pos
+            break
+    assert (pruned_at is None) == (sigma <= inv)
+    if sigma == inv:
+        assert u == n
+    if pruned_at is not None:
+        i = next(i for i in range(n) if sigma[i] != inv[i])
+        assert sigma[i] > inv[i] and pruned_at == max(max(j, inv[j]) for j in range(i + 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -807,6 +879,17 @@ def test_canonical_matches_full_and_translate(n, mode):
         full.value, full.exact, full.witness)
 
 
+# the transpose prune runs on the canonical prime branches only, so "full"
+# is the independent check of it, serial and pooled
+@pytest.mark.parametrize("workers", [1, 2])
+def test_canonical_matches_full_at_13(workers):
+    budget = SearchBudget(workers=workers)
+    canonical = psi(13, budget=budget)
+    full = psi(13, budget=budget, reduction="full")
+    assert (canonical.value, canonical.exact, canonical.witness) == (
+        full.value, full.exact, full.witness)
+
+
 # branches finish out of order in a pool; the tie rule still merges them to
 # the serial witness
 @pytest.mark.parametrize("n,mode", [(9, UNIT), (10, UNIT), (11, UNIT), (12, UNIT), (13, UNIT),
@@ -830,8 +913,8 @@ def test_canonical_node_counts(n, mode, most):
 # tools/bench.py: a lost prune, a branch run below a tie it could have
 # kept, a witness walk run again or a change of branch order shows here
 @pytest.mark.parametrize("n,mode,nodes", [(9, UNIT, 1_193), (10, UNIT, 2_824),
-                                          (11, UNIT, 4_579), (12, UNIT, 13_022),
-                                          (13, UNIT, 63_892), (9, ANY, 1_268),
+                                          (11, UNIT, 3_456), (12, UNIT, 13_022),
+                                          (13, UNIT, 47_101), (9, ANY, 1_268),
                                           (10, ANY, 21_741)])
 def test_tie_rule_node_counts(n, mode, nodes):
     assert psi(n, mode).nodes_explored == nodes
@@ -854,11 +937,11 @@ def test_full_reduction_node_counts(n, mode, nodes, pruned):
 # only when the slice already granted holds it: at k = 9 and 9_020 the
 # budget ends inside one, at 4_098 and 5_000 one spans the end of the first
 # 4_096-node slice
-@pytest.mark.parametrize("k", [1, 9, 4_095, 4_098, 5_000, 9_020, 63_891])
+@pytest.mark.parametrize("k", [1, 9, 4_095, 4_098, 5_000, 9_020, 47_100])
 def test_psi_budget_is_an_exact_cap_across_bulk_counted_nodes(k):
     out = psi(13, budget=SearchBudget(max_nodes=k))
     assert (out.exact, out.nodes_explored) == (False, k)
-    assert psi(13, budget=SearchBudget(max_nodes=63_892)).exact
+    assert psi(13, budget=SearchBudget(max_nodes=47_101)).exact
 
 
 def test_psi_rejects_unknown_reduction():
@@ -889,8 +972,8 @@ def test_lex_least_not_found():
 # branch r = 2, with no walk from the empty prefix; a target below psi
 # (11, 4 and 13, 5) or above the seed's count (11, 6) is refuted on the
 # canonical branches alone
-@pytest.mark.parametrize("p,target,nodes", [(11, None, 2_297), (13, None, 33_833),
-                                            (11, 4, 3_607), (13, 5, 50_101), (11, 6, 8_483)])
+@pytest.mark.parametrize("p,target,nodes", [(11, None, 1_850), (13, None, 26_392),
+                                            (11, 4, 2_673), (13, 5, 36_646), (11, 6, 5_893)])
 def test_lex_least_node_counts(p, target, nodes):
     out = lex_least_with_count(p, target, budget=SearchBudget(max_nodes=100_000))
     assert (out.exact, out.nodes_explored) == (True, nodes)

@@ -35,8 +35,12 @@ errors.  The command lines of a case run in order in one temporary
 directory, which the output names as ``{tmp}``; the topic takes a few
 seconds.
 
-One JSON line gives the case count and the number of cases that differ,
-with the first few of them; the exit code is 1 when any differ.
+Each case's node and pruned counts are compared apart from the rest of
+its output (value, witness, ``exact``, checkpoint, exit code, stdout and
+stderr).  One JSON line gives the case count, the number of cases whose
+output differs (``differ``) and the number whose output agrees but whose
+counts differ (``counts_differ``), with the first few of each; the exit
+code is 1 when any case differs.
 """
 from __future__ import annotations
 
@@ -75,8 +79,14 @@ def pack(K, L, cap):
     return [r.value, r.optima, r.truncated]
 
 
+#: the node and pruned counts of the case being run, reported apart from
+#: its output
+COUNTS = []
+
+
 def outcome(out):
-    return [out.value, out.witness, out.exact, out.nodes_explored, out.nodes_pruned]
+    COUNTS.append([out.nodes_explored, out.nodes_pruned])
+    return [out.value, out.witness, out.exact]
 
 
 def run_psi(n, mode, reduction, max_nodes=None):
@@ -102,16 +112,24 @@ def run_cli(*lines):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(line.replace("{tmp}", tmp).split())
+            field = '("?(?:{})"?(?:: |,))([-0-9.e]+)'.format
+            out = out.getvalue()
             # a pool's node counts depend on which worker ends first
-            masked = "elapsed|elapsed_seconds" + ("|nodes_explored|nodes_pruned"
-                                                  if "--workers" in line else "")
-            out = re.sub(f'("?(?:{masked})"?(?:: |,))[-0-9.e]+', r"\\g<1>0", out.getvalue())
+            if "--workers" not in line:
+                COUNTS.append(re.findall(field("nodes_explored|nodes_pruned"), out))
+            out = re.sub(field("elapsed|elapsed_seconds|nodes_explored|nodes_pruned"),
+                         r"\\g<1>0", out)
             outputs.append([code] + [text.replace(tmp, "{tmp}") for text in (out, err.getvalue())])
     return outputs
 
 
+def run_case(case):
+    COUNTS.clear()
+    return [run(*case), COUNTS.copy()]
+
+
 run = {"pack": pack, "psi": run_psi, "search": run_search, "cli": run_cli}[sys.argv[2]]
-print(json.dumps([run(*case) for case in json.load(sys.stdin)]))
+print(json.dumps([run_case(case) for case in json.load(sys.stdin)]))
 """
 
 
@@ -195,9 +213,13 @@ def main(argv: list[str]) -> int:
     # the two checkouts run side by side, each in its own interpreter
     with ThreadPoolExecutor(2) as pool:
         ours, theirs = pool.map(lambda checkout: outputs(checkout, topic, cases), (HERE, other))
-    differ = [case for case, a, b in zip(cases, ours, theirs) if a != b]
-    print(json.dumps({"cases": len(cases), "differ": len(differ), "first": differ[:5]}))
-    return 1 if differ else 0
+    # [output, counts] per case: cases whose outputs differ, and cases whose
+    # outputs agree but whose node or pruned counts do not
+    differ = [case for case, a, b in zip(cases, ours, theirs) if a[0] != b[0]]
+    counts = [case for case, a, b in zip(cases, ours, theirs) if a[0] == b[0] and a[1] != b[1]]
+    print(json.dumps({"cases": len(cases), "differ": len(differ), "counts_differ": len(counts),
+                      "first": differ[:5], "first_counts": counts[:5]}))
+    return 1 if differ or counts else 0
 
 
 if __name__ == "__main__":
