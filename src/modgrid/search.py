@@ -26,13 +26,15 @@ The matrix is updated incrementally.  Placing P adds, for each earlier
 point Q, 1 to every later cell collinear with Q and P, from one mask per
 difference P - Q built once per search: the union of the sets through the
 origin that hold the difference (see _origin_sets), the line of that slope
-for prime n.  Differences held by the same sets share one mask of 2n^2
-bytes: n masks for prime n, at most 754 for composite n <= 128 (n = 120,
+for prime n.  Differences held by the same sets share one mask of n^2
+fields: n masks for prime n, at most 754 for composite n <= 128 (n = 120,
 unit lines).  Cells of used values, and cells a branch excludes (below),
-carry a blocking mark, so a row minimum is a minimum over free values.  A
-is packed into one int of 16-bit fields (see _Placement), so an update is
-a few big-int operations, and each descent builds a new matrix from its
-parent's: backtracking needs no undo.  A node's matrix holds only the
+carry a blocking mark, so a row minimum is a minimum over free values (inf
+for a row with none).  A is packed into one int of fields just wide
+enough for every count (see _Placement): 8 bits up to n = 17, where
+C(n-1, 2) < 2**7, else 16, so a mask takes n^2 or 2n^2 bytes.  An update
+is a few big-int operations, and each descent builds a new matrix from
+its parent's: backtracking needs no undo.  A node's matrix holds only the
 rows of its own and later columns.
 
 One walk, _search_branch, runs every transversal search, under one of
@@ -302,21 +304,29 @@ class _NodeBudget:
             self.left += unused
 
 
-#: largest n every search accepts.  The cost-matrix fields are 16 bits, and
-#: every pair count C(n-1, 2) must stay below the used mark 2**15, which alone
-#: would allow n <= 257; 128 bounds the memory of the mask tables
+#: largest n every search accepts.  Every pair count C(n-1, 2) must stay
+#: below the used mark, the top bit of a cost-matrix field: a field is 8 bits
+#: while C(n-1, 2) < 2**7 (n <= 17), else 16 bits, which alone would allow
+#: n <= 257; 128 bounds the memory of the mask tables
 SEARCH_BOUND = 128
 
 #: largest n psi_brute_force accepts: it enumerates all n! transversals
 #: without a budget (n = 9 takes about 35 s)
 BRUTE_FORCE_BOUND = 9
 
-_FIELD = 16
+
+def _field_bits(n: int) -> int:
+    """The cost-matrix field width at n: its top bit is above C(n-1, 2)."""
+    return 8 if math.comb(n - 1, 2) < 1 << 7 else 16
+
 
 #: the least slack at which _Placement.bound unpacks every row rather than
-#: count rows level by level.  Measured serially on Python 3.11.7: psi(13)
-#: (slack at most 5) is flat from 6 to 20, 12 runs psi(14), psi(16) and
-#: psi(17) 2-6% faster than 6, and psi(10, any) is flat from 6 to 16
+#: count rows level by level.  Measured serially on Python 3.11.7 (2 cores)
+#: at 6, 8, 12, 16 and 24.  8-bit fields: 12 runs psi(14) and psi(16) 17-19%
+#: faster than 6 and 8-9% faster than 16, and psi(12, any) 4% faster than 16;
+#: psi(12) and psi(10, any) are flat.  16-bit fields: 12 runs the first 1.5M
+#: nodes of psi(18) 28% faster than 6 and 7% faster than 16, and the first 1M
+#: of psi(20) is within 3% of 16
 _LEVEL_CUT = 12
 
 
@@ -362,16 +372,16 @@ def _origin_sets(n: int, mode: CollinearityMode) -> tuple[list[list[Point]], lis
     return sets, held
 
 
-def _ratio_rows(n: int, anchor: int) -> list[list[int]]:
+def _ratio_rows(n: int, anchor: int, field: int) -> list[list[int]]:
     """The min-ratio rule's rows for the branch with anchor r at prime n,
     by depth: ``rows[pos]`` lists, for the earlier points at dx = pos,
     pos - 1, ..., 1, the row R(dx), rows as in _Placement.pairs, with 1 in
     every field of row t - 1 when the ratio (dx + t)/dx has an orbit-min
-    below r.  So the mask of the difference (dx, dy) ANDed with R(dx) holds
-    the later cells on the line through Q = P - (dx, dy) and P that would
-    close a triple of a smaller ratio."""
+    below r, in fields of ``field`` bits.  So the mask of the difference
+    (dx, dy) ANDed with R(dx) holds the later cells on the line through
+    Q = P - (dx, dy) and P that would close a triple of a smaller ratio."""
     omin = _orbit_min(n)
-    line = (1).to_bytes(_FIELD // 8, sys.byteorder) * n
+    line = (1).to_bytes(field // 8, sys.byteorder) * n
     width = len(line)
     R = [0]
     for dx in range(1, n):
@@ -388,11 +398,12 @@ def _ratio_rows(n: int, anchor: int) -> list[list[int]]:
 class _Placement:
     """Cost matrices of a transversal placed column by column.
 
-    A matrix A is one int of 16-bit fields, n to a row, one row for each
-    column not yet placed: with pos columns placed, field (j - pos)*n + w
-    counts the placed pairs collinear with cell (j, w), plus bit 15,
-    ``used``, set with OR on a blocked cell (see ``tables``).  Counts stay
-    below 2**15 (see SEARCH_BOUND), so the mark never meets a carry.
+    A matrix A is one int of ``field``-bit fields, n to a row, one row for
+    each column not yet placed: with pos columns placed, field (j - pos)*n +
+    w counts the placed pairs collinear with cell (j, w), plus the top bit,
+    ``used``, set with OR on a blocked cell (see ``tables``).  The width, 8
+    or 16, keeps every count, at most C(n-1, 2), below the mark (see
+    _field_bits), so the mark never meets a carry.
 
     Placing P = (pos, v) adds one mask per earlier point Q = P - (dx, dy):
     ``pairs[dx*2n + n + e]``, e = dy or dy - n, the cells collinear with Q
@@ -413,23 +424,26 @@ class _Placement:
         self.n = n
         self.prime = is_prime(n)
         nn = n * n
-        self.nbytes = nn * _FIELD // 8
-        self.full = (1 << (nn * _FIELD)) - 1
-        self.used = 1 << (_FIELD - 1)
+        f = self.field = _field_bits(n)
+        self.code = "B" if f == 8 else "H"
+        self.nbytes = nn * f // 8
+        self.full = (1 << (nn * f)) - 1
+        self.used = 1 << (f - 1)
+        # field_max: all bits of one field
+        self.field_max = (1 << f) - 1
         # the used bit of every field, and the count bits below it
-        self.marks = self.full // ((1 << _FIELD) - 1) * self.used
+        self.marks = self.full // self.field_max * self.used
         self.low = self.full ^ self.marks
         # trunc[pos]: all bits of the rows of columns pos + 1..n-1
-        self.trunc = [(1 << (n - 1 - pos) * n * _FIELD) - 1 for pos in range(n)]
+        self.trunc = [(1 << (n - 1 - pos) * n * f) - 1 for pos in range(n)]
         # first: all bits of row 0; row_ones: 1 in each field of row 0
-        self.first = (1 << n * _FIELD) - 1
-        self.row_ones = self.first // ((1 << _FIELD) - 1)
+        self.first = (1 << n * f) - 1
+        self.row_ones = self.first // self.field_max
         # the level tables of each depth, built when first asked for
         self._levels: list[Optional[tuple[int, int, int]]] = [None] * (n + 1)
         # keep[v]: all bits of the fields of columns >= v in rows 0..n-2;
         # wrap[v]: those of the other columns
-        ones = (1 << _FIELD) - 1
-        self.keep = [self.mask(((r, w) for r in range(n - 1) for w in range(v, n)), ones)
+        self.keep = [self.mask(((r, w) for r in range(n - 1) for w in range(v, n)), self.field_max)
                      for v in range(n)]
         self.wrap = [self.keep[0] ^ k for k in self.keep]
         # the tables of each branch anchor, built when first asked for
@@ -455,7 +469,7 @@ class _Placement:
     def mask(self, cells, value: int = 1) -> int:
         """The matrix holding ``value`` in the fields of ``cells``, 0 elsewhere."""
         buf = bytearray(self.nbytes)
-        fields = memoryview(buf).cast("H")
+        fields = memoryview(buf).cast(self.code)
         for r, w in cells:
             fields[r * self.n + w] = value
         fields.release()
@@ -489,7 +503,7 @@ class _Placement:
                                          + [(anchor, w) for w in range(n) if w != anchor],
                                          self.used)
                 if anchor > 2:
-                    rows = _ratio_rows(n, anchor)
+                    rows = _ratio_rows(n, anchor, self.field)
             below = [0] + [w for w in range(1, n) if not self.prime and math.gcd(w, n) < anchor]
             cells = ((r, w) for r in range(n - 1)
                      for w in (below if math.gcd(r + 1, n) == 1 else [0]))
@@ -504,7 +518,7 @@ class _Placement:
         pos = len(sigma)
         d = [self.held[(pos - i) * n + (v - y) % n] for i, y in enumerate(sigma)]
         common = {h & g for h, g in itertools.combinations(d, 2)}
-        return reduce(or_, map(self.union, common), 0) << (_FIELD - 1)
+        return reduce(or_, map(self.union, common), 0) << (self.field - 1)
 
     def offset(self, i: int, y: int) -> int:
         """The offset of the placed point (i, y) in ``pairs`` (see above)."""
@@ -519,15 +533,15 @@ class _Placement:
         blocked cells, ``block`` and the masks' cells in ``ratio``, ride in
         the used bits of the masks' sum, above its counts, through its one
         rotation, and are split from the counts after it."""
-        n = self.n
+        n, f = self.n, self.field
         pos = len(offs)
         k = 2 * n * pos + v
         pairs = self.pairs
         masks = [pairs[k + o] for o in offs]
-        M = sum(masks) | block | reduce(or_, map(and_, masks, ratio), 0) << (_FIELD - 1)
+        M = sum(masks) | block | reduce(or_, map(and_, masks, ratio), 0) << (f - 1)
         # every row rotated by v: the field of (r, w) moves to (r, (w + v) % n)
-        add = (M << v * _FIELD) & self.keep[v] | (M >> (n - v) * _FIELD) & self.wrap[v]
-        return ((A >> n * _FIELD) + (add & self.low) | add & self.marks) & self.trunc[pos]
+        add = (M << v * f) & self.keep[v] | (M >> (n - v) * f) & self.wrap[v]
+        return ((A >> n * f) + (add & self.low) | add & self.marks) & self.trunc[pos]
 
     def counts(self, A: int, pos: int = 0) -> list[list[int]]:
         """The rows of ``A``, a matrix with ``pos`` columns placed (columns
@@ -535,22 +549,27 @@ class _Placement:
         n = self.n
         if pos == n:
             return []
-        return memoryview(A.to_bytes((n - pos) * n * _FIELD // 8, sys.byteorder)
-                          ).cast("H", [n - pos, n]).tolist()
+        return memoryview(A.to_bytes((n - pos) * n * self.field // 8, sys.byteorder)
+                          ).cast(self.code, [n - pos, n]).tolist()
+
+    def minima(self, A: int, pos: int) -> float:
+        """The sum of the row minima of ``A`` with ``pos`` columns placed (see bound)."""
+        rest, row = self.bound(A, pos, math.inf) if pos < self.n else (0, [0])
+        return rest + min(row)
 
     def row(self, A: int) -> list[int]:
         """The n fields of the first row of ``A``."""
-        return memoryview((A & self.first).to_bytes(self.n * _FIELD // 8, sys.byteorder)
-                          ).cast("H").tolist()
+        return memoryview((A & self.first).to_bytes(self.n * self.field // 8, sys.byteorder)
+                          ).cast(self.code).tolist()
 
     def levels(self, pos: int) -> tuple[int, int, int]:
         """(marks, ones, ends) of a matrix with ``pos`` columns placed: in
         each of its n - pos rows, the used bit of every field, 1 in every
-        field, and 2**15 - n in the last field; built when first asked for."""
+        field, and used - n in the last field; built when first asked for."""
         if self._levels[pos] is None:
             n = self.n
-            marks = self.marks & (1 << (n - pos) * n * _FIELD) - 1
-            self._levels[pos] = (marks, marks >> _FIELD - 1,
+            marks = self.marks & (1 << (n - pos) * n * self.field) - 1
+            self._levels[pos] = (marks, marks >> self.field - 1,
                                  self.mask(((r, n - 1) for r in range(n - pos)), self.used - n))
         return self._levels[pos]
 
@@ -558,23 +577,24 @@ class _Placement:
         """The number of rows of ``U``, a matrix with ``pos`` columns
         placed, whose fields all carry the used bit: the multiply by
         ``row_ones`` sums each row's used bits into its last field (at most
-        n, so nothing carries), and adding 2**15 - n there sets the used
-        bit exactly when the sum is n."""
+        n, below the mark, so nothing carries), and adding used - n there
+        sets the used bit exactly when the sum is n."""
         marks, _, ends = self._levels[pos] or self.levels(pos)
-        return (((U & marks) >> _FIELD - 1) * self.row_ones + ends & marks).bit_count()
+        return (((U & marks) >> self.field - 1) * self.row_ones + ends & marks).bit_count()
 
     def bound(self, A: int, pos: int, slack: float) -> tuple[float, Optional[list[int]]]:
         """(rest, row) of ``A``, a matrix with ``pos`` columns placed: row
         its first row's fields and rest the sum of its later rows' minima
         over free cells, when the sum of all its row minima is at most
-        ``slack`` (>= 0); (0, None) when it is over.
+        ``slack`` (>= 0); (0, None) when it is over.  A row with no free cell,
+        the only kind whose minimum reaches the used mark, has minimum inf.
 
         Below _LEVEL_CUT the sum is decided in the packed matrix, level by
         level: it is over slack s exactly when the sum of min(row minimum,
         s + 1) over the rows is, and that is the sum over k = 1..s + 1 of
         the rows whose free cells all hold at least k.  Subtracting k from
         every field of A | marks leaves the used bit on a cell that holds
-        at least k (no borrow crosses a field: counts stay below 2**15), so
+        at least k (no borrow crosses a field: counts stay below it), so
         after an OR with A, which keeps a blocked cell's mark, such a row is
         a full row (see full_rows); a fully blocked row counts at every
         level.  The sum stops once it passes s, and once a level has no
@@ -583,6 +603,8 @@ class _Placement:
             rows = self.counts(A, pos)
             mins = list(map(min, rows))
             total = sum(mins)
+            if total >= self.used and max(mins) >= self.used:
+                total = math.inf
             return (total - mins[0], rows[0]) if total <= slack else (0, None)
         marks, ones, _ = self._levels[pos] or self.levels(pos)
         full_rows = self.full_rows
@@ -655,21 +677,21 @@ class _Placement:
         0 for neither.  ``quad`` blocks the cells that would complete a
         collinear quadruple.  ``ties`` is the state of the branch's
         lex-leader prune (see tables), None where there is none.  A blocked
-        cell in ``prefix``, or one that the prune rejects, adds the used
-        mark to ``count``."""
+        cell in ``prefix``, or one that the prune rejects, makes ``count``
+        infinite."""
         A, block, ratios, lex, ties = self.tables(anchor)
         sigma: list[int] = []
         offs: list[int] = []
-        count = 0
+        count: float = 0
         for pos, v in enumerate(prefix):
-            a = A >> v * _FIELD & 0xFFFF
+            a = A >> v * self.field & self.field_max
             if ties is not None:
                 kept = lex(self, sigma, v, ties)
                 if kept is None:
                     a |= self.used
                 else:
                     ties = kept
-            count += a
+            count += math.inf if a & self.used else a
             A = self.place(A, offs, v, block | self.quad_block(sigma, v) if quad and a else block,
                            ratios[pos])
             sigma.append(v)
@@ -682,7 +704,7 @@ class _Placement:
         bounds = {}
         for anchor, prefix in branches:
             A, _, count, _ = self.root(prefix, anchor)
-            bounds[anchor, prefix] = count + sum(map(min, self.counts(A, len(prefix))))
+            bounds[anchor, prefix] = count + self.minima(A, len(prefix))
         return bounds
 
 
@@ -742,7 +764,7 @@ def _search_branch(
         nonlocal nodes, granted, pruned
         if not quad:
             rest, row = bound(A, pos, limit - cnt)
-        elif engine.full_rows(A >> n * _FIELD, pos + 1):
+        elif engine.full_rows(A >> n * engine.field, pos + 1):
             # a later column has no free cell, so no completion lies below
             pruned += 1
             return False
@@ -793,8 +815,9 @@ def _search_branch(
         return False
 
     aborted = False
-    # a prefix already past the bound is a single pruned node
-    if count + sum(map(min, engine.counts(A0, start_pos))) > limit:
+    # a prefix already past the bound, or one that root flags (under any
+    # limit, inf included), is a single pruned node
+    if count == math.inf or count + engine.minima(A0, start_pos) > limit:
         pruned += 1
     elif start_pos == n:
         finish(count)
@@ -1035,6 +1058,9 @@ def psi(
         pruned_total += pruned
         witness = w or witness
     exact = not aborted
+    if witness is None and exact:
+        # a fresh run's branches hold a transversal: only a resumed one ends here
+        raise CheckpointMismatch(f"no transversal lies in the branches left in {checkpoint}")
     elapsed = time.perf_counter() - start
     note = "" if exact else "upper bound: search budget exhausted"
     if witness is None:

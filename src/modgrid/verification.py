@@ -98,7 +98,8 @@ def run_verification(level: str = "quick") -> tuple[list[CheckResult], bool]:
             continue
         pts = transversal_points(cubic_permutation(p))
         census = line_decomposition(pts, p)
-        two_point_lines = sum(1 for _, k in census.lines if k == 2)
+        # a line through exactly two points holds one pair
+        two_point_lines = list(census.pairs.values()).count(1)
         if (census.triples != (p - 1) * (p - 2) // 6 or census.quadruples != 0
                 or two_point_lines != p - 1):
             bad.append(p)

@@ -144,6 +144,18 @@ def test_unwritable_output_paths_fail_before_the_search(capsys, tmp_path, monkey
     assert out == "" and "error:" in err
 
 
+def test_psi_rejects_a_checkpoint_whose_branches_hold_no_transversal(capsys, tmp_path):
+    # the remaining branch (0, 2, 3) at n = 10 is below its floor 2
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps({
+        "version": 2, "n": 10, "mode": "unit", "reduction": "canonical", "best": None,
+        "witness": None, "remaining": [{"anchor": 2, "prefix": [0, 2, 3]}],
+    }))
+    code, out, err = run_cli(capsys, "psi", "--n", "10", "--checkpoint", str(ckpt))
+    assert code == EXIT_USAGE
+    assert out == "" and "error:" in err and "Traceback" not in err
+
+
 def test_psi_checkpoint_resume(capsys, tmp_path):
     ckpt = str(tmp_path / "ckpt.json")
     code, _, _ = run_json(capsys, "psi", "--n", "9",

@@ -197,7 +197,8 @@ def _engine(n, mode):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), mode=st.sampled_from([UNIT, ANY]))
 def test_level_bound_matches_the_unpacked_rows(data, mode):
-    n = data.draw(st.integers(5, 13))
+    # 8-bit fields up to n = 17, 16-bit from 18
+    n = data.draw(st.integers(5, 19))
     engine = _engine(n, mode)
     # a canonical branch (min-ratio anchors and floors), or the quadruple-free
     # walk's root, extended by free cells
@@ -215,14 +216,18 @@ def test_level_bound_matches_the_unpacked_rows(data, mode):
     assume(pos < n)
     rows = engine.counts(A, pos)
     mins = list(map(min, rows))
-    assert bool(engine.full_rows(A >> n * 16, pos + 1)) == (max(mins[1:], default=0) >= engine.used)
+    full = engine.full_rows(A >> n * engine.field, pos + 1)
+    assert bool(full) == (max(mins[1:], default=0) >= engine.used)
+    # a row with no free cell has no minimum, at either width
+    total = math.inf if max(mins) >= engine.used else sum(mins)
+    assert engine.minima(A, pos) == total
     slack = data.draw(st.integers(0, _LEVEL_CUT))
     rest, row = engine.bound(A, pos, slack)
-    if sum(mins) > slack:
+    if total > slack:
         assert (rest, row) == (0, None)
     else:
-        assert (rest, row) == (sum(mins) - mins[0], rows[0])
-    assert engine.bound(A, pos, math.inf) == (sum(mins) - mins[0], rows[0])
+        assert (rest, row) == (total - mins[0], rows[0])
+    assert engine.bound(A, pos, math.inf) == (total - mins[0], rows[0])
 
 
 # an int is a node budget for the "full" reduction, whose node counts it was
@@ -324,7 +329,9 @@ def test_root_bounds_equal_roots_placed_from_scratch(n, mode, reduction):
     want = {}
     for anchor, prefix in branches:
         A, _, count, _ = fresh.root(prefix, anchor)
-        want[anchor, prefix] = count + sum(map(min, fresh.counts(A, len(prefix))))
+        mins = list(map(min, fresh.counts(A, len(prefix))))
+        # a row with no free cell has no minimum
+        want[anchor, prefix] = count + (sum(mins) if max(mins) < fresh.used else math.inf)
     assert engine.root_bounds(branches) == want
 
 
@@ -533,6 +540,22 @@ def test_psi_rejects_a_prime_checkpoint_whose_best_is_not_the_seed(tmp_path, mon
     monkeypatch.setattr(search, "_search_branch", _no_search)
     with pytest.raises(CheckpointMismatch):
         psi(11, checkpoint=str(path))
+
+
+# at n = 10 the branch (0, 2, 3) places 3 next to 2 at a unit gcd, below its
+# floor 2, and (0, 1, 5, 2) is lex-rejected on the floor-1 branch (see
+# test_a_flagged_prefix_is_one_pruned_node): neither holds a transversal
+# that psi keeps, so a checkpoint that leaves only one of them has lost its
+# witness
+@pytest.mark.parametrize("anchor,prefix", [(2, [0, 2, 3]), (1, [0, 1, 5, 2])])
+def test_psi_rejects_a_checkpoint_whose_branches_hold_no_transversal(tmp_path, anchor, prefix):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({
+        "version": 2, "n": 10, "mode": "unit", "reduction": "canonical", "best": None,
+        "witness": None, "remaining": [{"anchor": anchor, "prefix": prefix}],
+    }))
+    with pytest.raises(CheckpointMismatch):
+        psi(10, checkpoint=str(path))
 
 
 def test_psi_writes_its_checkpoint_before_the_first_branch(tmp_path, monkeypatch):
@@ -866,6 +889,26 @@ def test_lex_least_adjacent_image_passes_the_floor_one_branch(data, mode):
     _, _, count, ties = engine.root(tau, 1)
     assert count == count_triples(transversal_points(sigma), n, mode)
     assert ties is not None
+
+
+def test_every_count_is_below_the_used_mark():
+    for n in range(1, SEARCH_BOUND + 1):
+        assert math.comb(n - 1, 2) < 1 << search._field_bits(n) - 1
+    assert [search._field_bits(n) for n in (17, 18)] == [8, 16]
+    for n in (17, 18):
+        engine = _engine(n, UNIT)
+        assert engine.used == 1 << engine.field - 1 > math.comb(n - 1, 2)
+
+
+# at n = 10, (0, 2, 3) places a cell blocked by the floor 2, and (0, 1, 5, 2)
+# is beaten by the -1 image at column 3, which starts (0, 1, 3)
+@pytest.mark.parametrize("anchor,prefix", [(2, (0, 2, 3)), (1, (0, 1, 5, 2))])
+@pytest.mark.parametrize("limit", [200, math.inf])
+def test_a_flagged_prefix_is_one_pruned_node(anchor, prefix, limit):
+    engine = _engine(10, UNIT)
+    assert engine.root(prefix, anchor)[2] == math.inf
+    out = search._search_branch(engine, prefix, limit, search._NodeBudget(None, 0), anchor=anchor)
+    assert out == (None, None, 0, 1, False)
 
 
 # (12, ANY) is left out: "full" takes 29M nodes, about 45 s, there.  At

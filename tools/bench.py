@@ -193,7 +193,8 @@ def _random_transversal(n: int) -> list[int]:
 
 #: topic -> calls; the psi calls are those of the psi_serial benchmark
 #: workload, and the census calls are its largest prime and composite cases.
-#: The deep calls are the longest psi runs of the README's node table.
+#: The deep calls are the longest psi runs of the README's node table, and
+#: the largest any-mode composite tree in it.
 #: The large calls are those of the README's memory table, and the cli
 #: calls are the CLI's end-to-end layer, with a pooled psi.  The pack calls
 #: are the grid and the seeded random (K, L) of tools/same_output.py, and the
@@ -203,7 +204,7 @@ TOPICS = {
         (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
         (lex_least_with_count, 11, UNIT), (lex_least_with_count, 13, UNIT),
     ]),
-    "deep": lambda: _searches([(psi, 14, UNIT), (psi, 16, UNIT), (psi, 17, UNIT)]),
+    "deep": lambda: _searches([(psi, 14, UNIT), (psi, 16, UNIT), (psi, 17, UNIT), (psi, 12, ANY)]),
     "grid": lambda: _searches([
         (max_triple_free_subset, 5, UNIT), (max_triple_free_subset, 5, ANY),
         (max_triple_free_subset, 6, UNIT), (max_triple_free_subset, 7, UNIT),
