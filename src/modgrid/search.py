@@ -137,17 +137,16 @@ to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
 The lex-least rule.  Let sigma* be the lex-least transversal with a given
 count.  A translation and a unit scaling of values make sigma*(0) = 0 and
 sigma*(1) = gcd(sigma*(1), n), the images being no larger: so sigma* lies
-in the branches of "full", and at prime n, where
-y -> (y - sigma(0))/(sigma(1) - sigma(0)) does it, starts (0, 1).  Under
-"canonical" at composite n, sigma*(1) is its floor d, or the pair at
-the floor would give a smaller image: sigma* is in branch d, and the
-floor-1 prune keeps the lex-least image.  At prime n branch r = 2 comes
-first, has no ratio rows and holds every transversal that starts
-(0, 1, 2) up to the transpose, which keeps sigma*, and every branch r > 2
-blocks the cell (2, 2): so a result that starts (0, 1, 2) is sigma*, and a
-result on another branch is followed by the "first" walk from the empty
-prefix to the first completion with exactly that count (in psi, for no
-p <= 17).
+in the branches of "full", and starts (0, 1) at prime n.  Under
+"canonical" at composite n, sigma*(1) is its floor d, or the pair at the
+floor would give a smaller image: so sigma* is in branch d, where the
+floor-1 prune keeps it, and is the first completion with its count on the
+branches in lex order.  At prime n branch r = 2 comes first, has no ratio
+rows and holds every transversal that starts (0, 1, 2) up to the
+transpose, which keeps sigma*, and every branch r > 2 blocks the cell
+(2, 2): so a result that starts (0, 1, 2) is sigma*, and only at prime n
+does a result on another branch need the "first" walk from the empty
+prefix to the first completion with that count (in psi, for no p <= 17).
 
 Grid searches.  max_triple_free_subset and ct0_subsets run one DFS,
 _grid_search, over subsets S of the n^2 cells held as bitmasks.  Both
@@ -1052,11 +1051,9 @@ def psi(
             if aborted:
                 break
 
-    if not aborted and red == "canonical" and engine.prime and witness[:3] != [0, 1, 2]:
-        _, w, nodes, pruned, aborted = _search_branch(engine, (), best, nodes_left, "first")
-        nodes_total += nodes
-        pruned_total += pruned
-        witness = w or witness
+    if not aborted and red == "canonical":
+        w, nodes, pruned, aborted = _lex_least(engine, witness, best, nodes_left)
+        nodes_total, pruned_total, witness = nodes_total + nodes, pruned_total + pruned, w or witness
     exact = not aborted
     if witness is None and exact:
         # a fresh run's branches hold a transversal: only a resumed one ends here
@@ -1072,6 +1069,14 @@ def psi(
     if check != best:
         raise AssertionError(f"witness recount {check} != reported value {best}")
     return SearchOutcome(int(best), witness, exact, nodes_total, pruned_total, elapsed, note=note)
+
+
+def _lex_least(engine: _Placement, witness, count: float, budget: _NodeBudget) -> tuple:
+    """The lex-least rule's last step (see the module docstring), as (witness,
+    nodes, pruned, aborted); the witness is None if the walk was cut."""
+    if not engine.prime or witness[:3] == [0, 1, 2]:
+        return witness, 0, 0, False
+    return _search_branch(engine, (), count, budget, "first")[1:]
 
 
 def psi_brute_force(n: int, mode: CollinearityMode = DEFAULT_MODE) -> SearchOutcome:
@@ -1092,30 +1097,28 @@ def lex_least_with_count(
     budget: Optional[SearchBudget] = None,
     mode: CollinearityMode = DEFAULT_MODE,
 ) -> SearchOutcome:
-    """Lexicographically least transversal with exactly ``target`` triples.
-
-    The "first" walk of ``_search_branch`` on psi's canonical branches in
-    order, under the lex-least rule (see the module docstring), for odd
-    prime n; found = False when no branch hits the target.
-    """
+    """Lexicographically least transversal with exactly ``target`` triples:
+    the "first" walk of ``_search_branch`` on psi's canonical branches in
+    order, under the lex-least rule (see the module docstring); found =
+    False when none has it, at once for a target outside 0..C(n, 3)."""
     _check_bound(n)
-    require_prime(n, "lex_least_with_count", odd=True)
     if target is None:
         target = (n - 1) // 2
     start = time.perf_counter()
-    engine, nodes_left = _Placement(n, mode), _NodeBudget(budget, start)
-    nodes = pruned = 0
-    result, aborted = None, False
-    for a, p in _psi_branches(engine, "canonical"):
-        _, result, p_nodes, p_pruned, aborted = _search_branch(
-            engine, p, target, nodes_left, "first", anchor=a)
-        nodes, pruned = nodes + p_nodes, pruned + p_pruned
-        if result is not None or aborted:
-            break
-    if result is not None and result[:3] != [0, 1, 2]:
-        _, result, w_nodes, w_pruned, aborted = _search_branch(
-            engine, (), target, nodes_left, "first")
-        nodes, pruned = nodes + w_nodes, pruned + w_pruned
+    result, aborted, nodes, pruned = None, False, 0, 0
+    # the identity lies on the diagonal, a line in both modes, so no count
+    # is above C(n, 3)
+    if 0 <= target <= math.comb(n, 3):
+        engine, nodes_left = _Placement(n, mode), _NodeBudget(budget, start)
+        for a, p in _psi_branches(engine, "canonical") if n > 2 else [(0, tuple(range(n)))]:
+            _, result, p_nodes, p_pruned, aborted = _search_branch(
+                engine, p, target, nodes_left, "first", anchor=a)
+            nodes, pruned = nodes + p_nodes, pruned + p_pruned
+            if result is not None or aborted:
+                break
+        if result is not None:
+            result, w_nodes, w_pruned, aborted = _lex_least(engine, result, target, nodes_left)
+            nodes, pruned = nodes + w_nodes, pruned + w_pruned
     elapsed = time.perf_counter() - start
     if result is not None:
         check = count_triples(transversal_points(result), n, mode)

@@ -381,7 +381,7 @@ def test_searches_accept_composite_n_above_64_under_a_budget():
     assert out.value == count_triples(transversal_points(out.witness), 66)
     for run, n, max_nodes in [(max_triples_quadfree_transversal, 66, 200),
                               (ct0_subsets, 66, 50), (max_triple_free_subset, 66, 50),
-                              (max_triple_free_subset, 127, 50)]:
+                              (max_triple_free_subset, 127, 50), (lex_least_with_count, 66, 50)]:
         out = run(n, budget=SearchBudget(max_nodes=max_nodes))
         assert (out.exact, out.nodes_explored) == (False, max_nodes), (run, n)
 
@@ -1004,11 +1004,11 @@ def test_lex_least_examples():
 
 
 def test_lex_least_not_found():
-    # no transversal mod 5 has exactly 1 triple (the minimum is 2)
-    out = lex_least_with_count(5, target=1)
-    assert not out.found and out.witness is None and out.exact
-    with pytest.raises(NonPrimeModulus):
-        lex_least_with_count(6)
+    # no transversal mod 5 has exactly 1 triple (the minimum is 2), and none
+    # mod 4 has 1 (the counts are 0 and 4)
+    for n, target in ((5, 1), (4, None)):
+        out = lex_least_with_count(n, target)
+        assert not out.found and out.witness is None and out.exact
 
 
 # the lex-least rule's node counts (README): the default target is hit on
@@ -1022,6 +1022,60 @@ def test_lex_least_node_counts(p, target, nodes):
     assert (out.exact, out.nodes_explored) == (True, nodes)
     found = target is None
     assert (out.found, out.witness) == (found, g_permutation(p) if found else None)
+
+
+@functools.lru_cache(maxsize=None)
+def _first_of_each_count(n, mode):
+    """count -> the first permutation of itertools.permutations with it."""
+    first = {}
+    for perm in itertools.permutations(range(n)):
+        first.setdefault(count_triples(list(enumerate(perm)), n, mode), list(perm))
+    return first
+
+
+# the lex-least rule at composite n rests on the floor and the floor-1
+# prune, with no walk from the empty prefix; n <= 2 has the one branch
+# (0, ..., n-1), and C(n, 3), the identity's count, is the largest
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
+@pytest.mark.parametrize("mode", [UNIT, ANY])
+def test_lex_least_matches_brute_force_off_odd_primes(n, mode):
+    first = _first_of_each_count(n, mode)
+    assert max(first) == math.comb(n, 3)
+    for target in range(max(first) + 2):
+        out = lex_least_with_count(n, target, mode=mode)
+        assert (out.exact, out.found, out.witness) == (
+            True, target in first, first.get(target)), target
+
+
+@pytest.mark.parametrize("n,mode", [(n, UNIT) for n in (4, 6, 8, 9, 10, 12)]
+                         + [(n, ANY) for n in (4, 6, 8, 9, 10)])
+def test_lex_least_at_psi_value_is_psi_witness(n, mode):
+    best = psi(n, mode)
+    out = lex_least_with_count(n, best.value, mode=mode)
+    assert (out.exact, out.found, out.witness) == (True, True, best.witness)
+
+
+# the lex-least rule's walk from the empty prefix, which no prime target of
+# psi or lex_least_with_count has been seen to need: at prime n a witness
+# that does not start (0, 1, 2) gives way to the first transversal with its
+# count; one that does, or any witness at composite n, is kept
+@pytest.mark.parametrize("mode", [UNIT, ANY])
+def test_lex_least_step_walks_from_the_empty_prefix_at_prime_n(mode):
+    budget = search._NodeBudget(None, 0)
+    for count, least in _first_of_each_count(7, mode).items():
+        witness, nodes, _, aborted = search._lex_least(
+            _engine(7, mode), [6, 5, 4, 3, 2, 1, 0], count, budget)
+        assert (witness, aborted) == (least, False) and nodes > 0
+    for n, witness in ((7, [0, 1, 2, 4, 3, 6, 5]), (8, [7, 6, 5, 4, 3, 2, 1, 0])):
+        assert search._lex_least(_engine(n, mode), witness, 0, budget) == (witness, 0, 0, False)
+
+
+# no transversal has a count outside 0..C(n, 3); such a target is refuted
+# without a search
+@pytest.mark.parametrize("n,target", [(13, 287), (7, -1), (128, math.comb(128, 3) + 1)])
+def test_lex_least_target_out_of_range_is_refuted_at_once(n, target):
+    out = lex_least_with_count(n, target)
+    assert (out.exact, out.found, out.witness, out.nodes_explored) == (True, False, None, 0)
 
 
 def test_quadfree_transversal_examples():

@@ -192,7 +192,8 @@ def _random_transversal(n: int) -> list[int]:
 
 
 #: topic -> calls; the psi calls are those of the psi_serial benchmark
-#: workload, and the census calls are its largest prime and composite cases.
+#: workload, with lex_least_with_count at p = 11 and 13 and at composite
+#: n = 12, and the census calls are its largest prime and composite cases.
 #: The deep calls are the longest psi runs of the README's node table, and
 #: the largest any-mode composite tree in it.
 #: The large calls are those of the README's memory table, and the cli
@@ -203,6 +204,7 @@ TOPICS = {
     "psi": lambda: _searches([
         (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
         (lex_least_with_count, 11, UNIT), (lex_least_with_count, 13, UNIT),
+        (lex_least_with_count, 12, UNIT),
     ]),
     "deep": lambda: _searches([(psi, 14, UNIT), (psi, 16, UNIT), (psi, 17, UNIT), (psi, 12, ANY)]),
     "grid": lambda: _searches([

@@ -19,8 +19,11 @@ budget ends inside a bulk-counted node or one spans the end of a slice.
 "full" at (12, any) takes about 45 s, so the topic takes about a minute.
 
 ``search``: (value, witness, exact, nodes, pruned) of the searches other
-than psi: ``lex_least_with_count`` at p = 3, 5, 7, 11 and 13 and at (7, 2)
-and (7, 4), ``max_triples_quadfree_transversal`` for n <= 8 in both modes,
+than psi: ``lex_least_with_count`` at p = 3, 5, 7, 11 and 13, at (7, 2)
+and (7, 4), at composite n = 8, 9, 10 and 12 (unit) and 9 and 10 (any),
+each at its default target and at psi's value (LEX_LEAST_PSI), and at the
+targets outside 0..C(n, 3) (13, 287) and (7, -1);
+``max_triples_quadfree_transversal`` for n <= 8 in both modes,
 ``ct0_subsets`` for n <= 5 (unit) and n <= 4 (any), and
 ``max_triple_free_subset`` for n = 2..7 in both modes.  The first two walk
 the placement engine's tables outside psi, for anchor 0 and, in
@@ -61,6 +64,9 @@ INTERRUPT_NODES = 1000
 #: the node budgets of the psi(13) resume cases: the bulk-count edges of
 #: test_psi_budget_is_an_exact_cap_across_bulk_counted_nodes
 PSI13_CUTS = (9, 4_098, 9_020)
+#: psi's value at the composite (n, mode) of the lex_least_with_count cases
+LEX_LEAST_PSI = {(8, "unit"): 0, (9, "unit"): 5, (10, "unit"): 2, (12, "unit"): 0,
+                 (9, "any"): 12, (10, "any"): 60}
 
 #: argv[1] is the source directory and argv[2] the topic; the cases are
 #: read from stdin as a JSON list of argument lists
@@ -164,6 +170,9 @@ def search_cases() -> list[list]:
     modes = ("unit", "any")
     return ([["lex_least_with_count", p, "unit"] for p in (3, 5, 7, 11, 13)]
             + [["lex_least_with_count", 7, "unit", target] for target in (2, 4)]
+            + [["lex_least_with_count", n, mode, *target] for (n, mode), value
+               in LEX_LEAST_PSI.items() for target in ((), (value,))]
+            + [["lex_least_with_count", n, "unit", target] for n, target in ((13, 287), (7, -1))]
             + [["max_triples_quadfree_transversal", n, mode]
                for n in range(1, 9) for mode in modes]
             + [["ct0_subsets", n, "unit"] for n in range(1, 6)]
