@@ -116,20 +116,27 @@ McKay, J. Algorithms 26, 1998):
   an image anchored at a triple of ratio r, in branch r, and no triple of
   that image has a smaller ratio, so no cell of it is blocked.  This is
   canonical augmentation (McKay, J. Algorithms 26, 1998).
-- Prime n, the transpose: a lex leader (Crawford et al.) under
-  sigma <-> sigma^-1; branch r keeps sigma only when sigma <= sigma^-1.
-  Proof: (x, y) -> (y, x) maps sigma's points to sigma^-1's and lines to
-  lines, and a triple's value ratio equals its column ratio, so it keeps
-  every triple's ratio: the min-ratio rule keeps sigma exactly when it
-  keeps sigma^-1.  The pinned cells (0, 0), (1, 1) and (r, r) lie on the
-  diagonal, which it fixes, so each branch is closed under it and keeps
-  the lesser of sigma and sigma^-1, with their count.  The lex-least
-  transversal sigma* of a count has sigma* <= sigma*^-1, so it is kept: the
-  tie rule, the lex-least rule and a resume from any version 2 checkpoint
-  (whose finished branches lost nothing) still hold.  The walk carries u,
-  the first position where sigma and sigma^-1 are not both known and
-  equal (see _Placement.transpose).  Composite n is left out: the floor and
-  the floor-1 prune are not shown to commute with the transpose.
+- The transpose: a lex leader (Crawford et al.) under sigma <-> sigma^-1;
+  each prime branch r and the composite floor-1 branch keep sigma only
+  when sigma <= sigma^-1.  (x, y) -> (y, x) maps sigma's points to
+  sigma^-1's and lines to lines, so it keeps the count in both modes.
+  Prime n: a triple's value ratio equals its column ratio, so the
+  transpose keeps every triple's ratio, and the min-ratio rule keeps sigma
+  exactly when it keeps sigma^-1.  The pinned cells (0, 0), (1, 1) and
+  (r, r) lie on the diagonal, which it fixes, so each branch is closed
+  under it and keeps the lesser of sigma and sigma^-1.  Floor 1: the
+  branch is every sigma with sigma(0) = 0 and sigma(1) = 1, and the
+  transpose keeps both.  Take S (above) under the group that the transpose
+  and the adjacent-pair maps generate: it is still the same for each of
+  its members and holds every image either prune compares, so its
+  lex-least member passes both prunes.  A floor d > 1 is left out:
+  sigma^-1 of a member of branch d need not start (0, d) nor have floor d,
+  so it lies outside the branch.  The lex-least transversal sigma* of a
+  count has sigma* <= sigma*^-1, so it is kept: the tie rule, the lex-least
+  rule and a resume from any version 2 checkpoint (whose finished branches
+  lost nothing) still hold.  The walk carries u, the first position where
+  sigma and sigma^-1 are not both known and equal (see
+  _Placement.transpose).
 
 Canonical branches are split at the third column, so that a pool has work
 to share.  verify_theorem1 runs "full": "canonical" assumes Theorem 1.
@@ -140,7 +147,7 @@ sigma*(1) = gcd(sigma*(1), n), the images being no larger: so sigma* lies
 in the branches of "full", and starts (0, 1) at prime n.  Under
 "canonical" at composite n, sigma*(1) is its floor d, or the pair at the
 floor would give a smaller image: so sigma* is in branch d, where the
-floor-1 prune keeps it, and is the first completion with its count on the
+floor-1 prunes keep it, and is the first completion with its count on the
 branches in lex order.  At prime n branch r = 2 comes first, has no ratio
 rows and holds every transversal that starts (0, 1, 2) up to the
 transpose, which keeps sigma*, and every branch r > 2 blocks the cell
@@ -489,13 +496,14 @@ class _Placement:
         r > 2 (see _ratio_rows), else empty at every depth (2 is the least
         orbit-min).  ``lex`` is the branch's lex-leader prune, called as
         ``lex(engine, sigma, v, ties)``, and ``ties`` its state before the
-        prefix: the adjacent-pair prune on the floor-1 branch, the transpose
-        on every prime branch (r >= 2), None on the others."""
+        prefix: on the floor-1 branch the adjacent-pair prune and the
+        transpose together, state (ties, u); on every prime branch (r >= 2)
+        the transpose, state u; None on the others."""
         if anchor not in self._tables:
             n = self.n
             A, rows = 0, [()] * n
             lex, ties = ((_Placement.transpose, 0) if self.prime and anchor
-                         else (_Placement.lex, []) if anchor == 1 else (None, None))
+                         else (_Placement.lex, ([], 0)) if anchor == 1 else (None, None))
             if self.prime:
                 self._tables.clear()  # free the old rows before the new ones are built
                 A = anchor and self.mask([(j, anchor) for j in range(n) if j != anchor]
@@ -620,13 +628,18 @@ class _Placement:
         row = self.row(A)
         return total - min(row), row
 
-    def lex(self, sigma: Sequence[int], v: int, ties: list) -> Optional[list]:
-        """The +1 images still tied after adding (len(sigma), v) to ``sigma``
-        on the floor-1 branch, or None when an adjacent image beats it (see
-        the module docstring).  ``ties`` holds (i, c) for each +1 image
-        tau(x) = c(sigma(i + x) - sigma(i)) that equals sigma so far."""
+    def lex(self, sigma: Sequence[int], v: int, state: tuple) -> Optional[tuple]:
+        """The state (ties, u) after adding (len(sigma), v) to ``sigma`` on
+        the floor-1 branch, or None when an adjacent image or sigma^-1 beats
+        it (see the module docstring).  ``ties`` holds (i, c) for each +1
+        image tau(x) = c(sigma(i + x) - sigma(i)) that equals sigma so far,
+        and u is the transpose state (see ``transpose``)."""
         n, inv = self.n, self.inv
+        ties, u = state
         pos = len(sigma)
+        # transpose's fast path, inline: only a child at column u or of value u moves u
+        if (u == pos or u == v) and (u := self.transpose(sigma, v, u)) is None:
+            return None
         kept = []
         for i, c in ties:
             t, s = c * (v - sigma[i]) % n, sigma[pos - i]
@@ -646,13 +659,14 @@ class _Placement:
                     break
             # the +1 image at pos - 1: its step v - sigma(pos - 1) is -1/c
             kept.append((pos - 1, n - c))
-        return kept
+        return kept, u
 
     def transpose(self, sigma: Sequence[int], v: int, u: int) -> Optional[int]:
         """The state u after adding (len(sigma), v) to ``sigma`` on a prime
-        branch, or None when sigma^-1 is then lex-smaller: the first position
-        where sigma and sigma^-1 are not both known and equal, n once sigma <
-        sigma^-1 is decided.  Only a child at column u or of value u moves it."""
+        or the floor-1 branch, or None when sigma^-1 is then lex-smaller:
+        the first position where sigma and sigma^-1 are not both known and
+        equal, n once sigma < sigma^-1 is decided.  Only a child at column u
+        or of value u moves it."""
         pos = len(sigma)
         if u != pos and u != v:
             return u
@@ -669,7 +683,7 @@ class _Placement:
         return u
 
     def root(self, prefix: Sequence[int], anchor: int = 0,
-             quad: bool = False) -> tuple[int, list[int], int, Optional[list]]:
+             quad: bool = False) -> tuple[int, list[int], int, object]:
         """(A, sigma, count, ties) after placing ``prefix`` in a branch with
         ``anchor`` (see _psi_branches), from the anchor's ``tables``: at
         prime n the diagonal cell (r, r) pinned, at composite n the floor d;
@@ -759,7 +773,7 @@ def _search_branch(
             limit = cnt - 1
         return objective == "first"
 
-    def rec(pos: int, cnt: int, A: int, ties: Optional[list]) -> bool:
+    def rec(pos: int, cnt: int, A: int, ties: object) -> bool:
         nonlocal nodes, granted, pruned
         if not quad:
             rest, row = bound(A, pos, limit - cnt)

@@ -73,10 +73,11 @@ def test_psi_mode_sensitivity():
     assert psi(10, mode=ANY).value == 60
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("mode", [ANY, UNIT])
 def test_pruned_search_matches_brute_force(n, mode):
-    assert psi(n, mode=mode).value == psi_brute_force(n, mode).value
+    out = psi(n, mode=mode)
+    assert (out.value, out.witness) == _brute_force(n, mode)
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,6 +291,37 @@ def test_resume_from_a_checkpoint_written_before_the_transpose_prune(tmp_path, p
         }))
         resumed = psi(p, checkpoint=str(path))
         assert (resumed.value, resumed.exact, resumed.witness) == (ref.value, True, ref.witness)
+
+
+# the composite twin: a run without the floor-1 transpose prune lists the
+# branches in root-bound order, and its incumbent is that of the branches it
+# has finished, none (a null witness) before the first ends.  A branch's
+# lex-least completion at each count passes the prune, so finishing them
+# here gives the incumbent that run held
+@pytest.mark.parametrize("n,mode", [(10, UNIT), (10, ANY), (12, UNIT)])
+def test_resume_from_a_composite_checkpoint_written_before_the_transpose_prune(
+        tmp_path, n, mode):
+    ref = psi(n, mode)
+    engine = _Placement(n, mode)
+    branches = _psi_branches(engine, "canonical")
+    branches.sort(key=engine.root_bounds(branches).__getitem__)
+    budget = search._NodeBudget(None, 0)
+    best, witness = None, None
+    for start, (anchor, prefix) in enumerate(branches):
+        if start in (0, 1, len(branches) // 2, len(branches) - 1):
+            path = tmp_path / f"ckpt{start}.json"
+            path.write_text(json.dumps({
+                "version": 2, "n": n, "mode": mode.value, "reduction": "canonical",
+                "best": best, "witness": witness,
+                "remaining": [{"anchor": a, "prefix": list(b)} for a, b in branches[start:]],
+            }))
+            resumed = psi(n, mode, checkpoint=str(path))
+            assert (resumed.value, resumed.exact, resumed.witness) == (
+                ref.value, True, ref.witness), start
+        limit = math.inf if witness is None else best - (list(prefix) > witness[:3])
+        b, w, *_ = search._search_branch(engine, prefix, limit, budget, anchor=anchor)
+        if w is not None and (witness is None or (b, w) < (best, witness)):
+            best, witness = b, w
 
 
 def _root_bound(n, branch):
@@ -586,7 +618,7 @@ def test_canonical_checkpoint_entries_carry_their_anchor(tmp_path, n, anchors):
 
 def _anchored_image(sigma, n, i, j):
     """The image of sigma under x -> (x - i)/(j - i), y -> (y - sigma(i))/(sigma(j) -
-    sigma(i)) (n prime)."""
+    sigma(i)), for j - i and sigma(j) - sigma(i) units mod n."""
     s, t = pow(j - i, -1, n), pow(sigma[j] - sigma[i], -1, n)
     tau = [0] * n
     for x in range(n):
@@ -604,8 +636,19 @@ def _inverse(sigma):
 
 def _least_transpose(sigma):
     """The lesser of sigma and sigma^-1: the one the transpose prune keeps
-    on a prime branch."""
+    on a prime or the floor-1 branch."""
     return min(sigma, _inverse(sigma))
+
+
+def _least_floor_one_image(sigma, n):
+    """The least member of sigma's orbit that starts (0, 1): the least of the
+    images from every column pair whose column and value steps are both
+    units, and of their transposes, None for a sigma with no such pair.
+    Neither the adjacent-pair prune nor the transpose prune rejects it."""
+    return min((_least_transpose(_anchored_image(sigma, n, i, j))
+                for i in range(n) for j in range(n)
+                if math.gcd(j - i, n) == 1 and math.gcd(sigma[j] - sigma[i], n) == 1),
+               default=None)
 
 
 def _anchored_triples(sigma, n, mode):
@@ -619,11 +662,12 @@ def _anchored_triples(sigma, n, mode):
 
 def _adjacent_images(sigma, n):
     """The images x -> c(sigma(i + e*x) - sigma(i)), e = +-1, of sigma over the
-    column pairs (i, i + e) whose value step u is a unit, c = 1/u: each
-    starts (0, 1)."""
-    return [[c * (sigma[(i + e * x) % n] - sigma[i]) % n for x in range(n)]
-            for i in range(n) for e in (1, -1)
-            for u in [(sigma[(i + e) % n] - sigma[i]) % n] if math.gcd(u, n) == 1
+    column pairs (i, i + e) whose value step u is a unit, c = 1/u, each up to
+    the last x with i + e*x in 0..n-1: the part the adjacent-pair prune
+    compares with sigma.  Each starts (0, 1)."""
+    return [[c * (sigma[i + e * x] - sigma[i]) % n for x in range(n - i if e > 0 else i + 1)]
+            for i in range(n) for e in (1, -1) if 0 <= i + e < n
+            for u in [(sigma[i + e] - sigma[i]) % n] if math.gcd(u, n) == 1
             for c in [pow(u, -1, n)]]
 
 
@@ -631,7 +675,7 @@ def _canonical_image(sigma, n, mode):
     """(anchor, tau): the image of sigma that the canonical reduction keeps,
     mapped as in the search module docstring: at prime n a triple of the
     least ratio anchored, the lesser of it and its transpose, on the floor-1
-    branch the lex-least adjacent image."""
+    branch the least member of sigma's orbit there."""
     if is_prime(n):
         triples = _anchored_triples(sigma, n, mode)
         if not triples:
@@ -641,14 +685,14 @@ def _canonical_image(sigma, n, mode):
     anchor, i, j = min((math.gcd(sigma[j] - sigma[i], n), i, j)
                        for i in range(n) for j in range(n)
                        if i != j and math.gcd(j - i, n) == 1)
+    if anchor == 1:
+        return anchor, _least_floor_one_image(sigma, n)
     s = pow(j - i, -1, n)
     t = next(c for c in range(1, n)
              if math.gcd(c, n) == 1 and c * (sigma[j] - sigma[i]) % n == anchor)
     tau = [0] * n
     for x in range(n):
         tau[(x - i) * s % n] = (sigma[x] - sigma[i]) * t % n
-    if anchor == 1:
-        tau = min(_adjacent_images(tau, n))
     return anchor, tau
 
 
@@ -717,6 +761,33 @@ def test_transpose_step_keeps_exactly_the_lesser_of_sigma_and_its_inverse(sigma)
     if pruned_at is not None:
         i = next(i for i in range(n) if sigma[i] != inv[i])
         assert sigma[i] > inv[i] and pruned_at == max(max(j, inv[j]) for j in range(i + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.sampled_from([4, 6, 8, 9, 10, 12]).flatmap(
+    lambda n: st.permutations(range(2, n)).map(lambda rest: [0, 1, *rest])),
+       mode=st.sampled_from([UNIT, ANY]))
+# sigma^-1 is lex-smaller, and no adjacent image is
+@example(sigma=[0, 1, 4, 2, 5, 3], mode=UNIT)
+def test_floor_one_step_keeps_exactly_sigma_at_most_its_inverse_and_adjacent_images(sigma, mode):
+    # the floor-1 hook walked column by column, as the walk does: a member
+    # of branch 1 passes every column exactly when sigma <= sigma^-1 and no
+    # adjacent image is lex-smaller over the columns the prune compares, and
+    # its transpose state is the one the transpose step alone reaches (the
+    # composite twin of the test above)
+    n = len(sigma)
+    engine = _Placement(n, mode)
+    _, _, _, lex, state = engine.tables(1)
+    u = 0
+    for pos, v in enumerate(sigma):
+        state = lex(engine, sigma[:pos], v, state)
+        if state is None:
+            break
+        u = engine.transpose(sigma[:pos], v, u)
+    beaten = any(tau < sigma[:len(tau)] for tau in _adjacent_images(sigma, n))
+    assert (state is not None) == (sigma <= _inverse(sigma) and not beaten)
+    if state is not None:
+        assert state[1] == u
 
 
 @settings(max_examples=100, deadline=None)
@@ -879,11 +950,12 @@ def test_workers_below_one_are_rejected(workers):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), mode=st.sampled_from([UNIT, ANY]))
 def test_lex_least_adjacent_image_passes_the_floor_one_branch(data, mode):
+    # the least member of sigma's orbit in branch 1, which no adjacent image
+    # and not its transpose beats
     n = data.draw(st.sampled_from([4, 6, 8, 9, 10]))
     sigma = data.draw(st.permutations(range(n)))
-    images = _adjacent_images(sigma, n)
-    assume(images)
-    tau = min(images)
+    tau = _least_floor_one_image(sigma, n)
+    assume(tau is not None)
     engine = _Placement(n, mode)
     # an image that beats a prefix of tau would add the used mark
     _, _, count, ties = engine.root(tau, 1)
@@ -912,7 +984,9 @@ def test_a_flagged_prefix_is_one_pruned_node(anchor, prefix, limit):
 
 
 # (12, ANY) is left out: "full" takes 29M nodes, about 45 s, there.  At
-# composite n "full" only translates, fixing sigma(0) = 0
+# composite n "full" only translates, fixing sigma(0) = 0, and runs neither
+# the floor nor a lex-leader prune, so it is the independent check of the
+# adjacent-pair and transpose prunes of the floor-1 branch
 @pytest.mark.parametrize("n,mode", [(n, m) for n in range(3, 13) for m in (UNIT, ANY)
                                     if (n, m) != (12, ANY)])
 def test_canonical_matches_full_and_translate(n, mode):
@@ -955,12 +1029,12 @@ def test_canonical_node_counts(n, mode, most):
 # branch order (root-bound at composite n, lex at prime n), as in README and
 # tools/bench.py: a lost prune, a branch run below a tie it could have
 # kept, a witness walk run again or a change of branch order shows here
-@pytest.mark.parametrize("n,mode,nodes", [(9, UNIT, 1_193), (10, UNIT, 2_824),
-                                          (11, UNIT, 3_456), (12, UNIT, 13_022),
-                                          (13, UNIT, 47_101), (9, ANY, 1_268),
-                                          (10, ANY, 21_741)])
-def test_tie_rule_node_counts(n, mode, nodes):
-    assert psi(n, mode).nodes_explored == nodes
+@pytest.mark.parametrize("n,mode", [(9, UNIT), (10, UNIT), (11, UNIT), (12, UNIT), (13, UNIT),
+                                    (9, ANY), (10, ANY)])
+def test_tie_rule_node_counts(n, mode):
+    nodes = {(9, UNIT): 926, (10, UNIT): 2_314, (11, UNIT): 3_456, (12, UNIT): 11_857,
+             (13, UNIT): 47_101, (9, ANY): 948, (10, ANY): 15_815}
+    assert psi(n, mode).nodes_explored == nodes[n, mode]
 
 
 # psi's node and pruned counts under the "full" reduction at composite n,

@@ -192,8 +192,9 @@ def _random_transversal(n: int) -> list[int]:
 
 
 #: topic -> calls; the psi calls are those of the psi_serial benchmark
-#: workload, with lex_least_with_count at p = 11 and 13 and at composite
-#: n = 12, and the census calls are its largest prime and composite cases.
+#: workload, with every other count of test_tie_rule_node_counts (psi(9),
+#: psi(10) and psi(9, any)) and lex_least_with_count at p = 11 and 13 and at
+#: composite n = 12, and the census calls are its largest prime and composite cases.
 #: The deep calls are the longest psi runs of the README's node table, and
 #: the largest any-mode composite tree in it.
 #: The large calls are those of the README's memory table, and the cli
@@ -202,7 +203,8 @@ def _random_transversal(n: int) -> list[int]:
 #: largest accepted input
 TOPICS = {
     "psi": lambda: _searches([
-        (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT), (psi, 10, ANY),
+        (psi, 9, UNIT), (psi, 10, UNIT), (psi, 11, UNIT), (psi, 12, UNIT), (psi, 13, UNIT),
+        (psi, 9, ANY), (psi, 10, ANY),
         (lex_least_with_count, 11, UNIT), (lex_least_with_count, 13, UNIT),
         (lex_least_with_count, 12, UNIT),
     ]),

@@ -59,8 +59,9 @@ CAPS = (1, 3, 64)
 RANDOM_CASES = 300
 #: seed of the random cases, shared with the "pack" topic of tools/bench.py
 SEED = 1
-#: the node budget of the interrupted leg of the psi resume cases
-INTERRUPT_NODES = 1000
+#: the node budget of the interrupted leg of the psi resume cases, below the
+#: node count of each of them (926 for psi(9), the least), so every one is cut
+INTERRUPT_NODES = 500
 #: the node budgets of the psi(13) resume cases: the bulk-count edges of
 #: test_psi_budget_is_an_exact_cap_across_bulk_counted_nodes
 PSI13_CUTS = (9, 4_098, 9_020)
